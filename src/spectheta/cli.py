@@ -76,21 +76,18 @@ def _build_parser():
     p.add_argument("--free", type=_spec_arg, metavar="R,P,Q",
                    help="keep only graphs free of this theta")
     p.add_argument("--limit", type=int, help="override the edge budget guard")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("search", help="extremal record over theta-free classes")
     p.add_argument("--edges", type=int, required=True, metavar="M")
     p.add_argument("--spec", type=_spec_arg, required=True, metavar="R,P,Q")
     p.add_argument("--json", action="store_true")
     p.add_argument("--limit", type=int)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("table", help="best lambda against the closed-form bound per m")
     p.add_argument("--edges", type=_range_arg, required=True, metavar="A..B")
     p.add_argument("--spec", type=_spec_arg, required=True, metavar="R,P,Q")
     p.add_argument("--json", action="store_true")
     p.add_argument("--limit", type=int)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("family", help="print a named family member as graph6")
     p.add_argument("name", choices=[
@@ -129,7 +126,10 @@ def _edge_budget(args) -> int:
         return args.limit
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_EDGE_BUDGET
 
 
@@ -154,9 +154,7 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stream = enumerate_by_edges(
-        args.edges, args.connected, budget=_edge_budget(args), threads=args.threads
-    )
+    stream = enumerate_by_edges(args.edges, args.connected, budget=_edge_budget(args))
     from .theta import is_theta_free
 
     for g in stream:
@@ -167,9 +165,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    rec = extremal_search(
-        args.edges, args.spec, budget=_edge_budget(args), threads=args.threads
-    )
+    rec = extremal_search(args.edges, args.spec, budget=_edge_budget(args))
     if args.json:
         print(rec.to_json_str())
     else:
@@ -181,9 +177,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = extremal_table(
-        args.edges, args.spec, budget=_edge_budget(args), threads=args.threads
-    )
+    rows = extremal_table(args.edges, args.spec, budget=_edge_budget(args))
     if args.json:
         print(json.dumps(rows, indent=2))
     else:

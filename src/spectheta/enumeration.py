@@ -13,7 +13,6 @@ test.  Memory stays bounded by one parent's child list per level.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cmp_to_key
 
@@ -84,39 +83,9 @@ def _subtree(g: Graph, cert: bytes, level: int, m: int, connected_only: bool, pr
         yield from _subtree(child, ccert, level + 1, m, connected_only, prune_spec)
 
 
-def _stream(m: int, connected_only: bool, prune_spec, threads: int):
+def _stream(m: int, connected_only: bool, prune_spec):
     root = complete(2)
-    root_cert = canonical_label(root).data
-    if threads <= 1 or m <= 1:
-        yield from _subtree(root, root_cert, 1, m, connected_only, prune_spec)
-        return
-    # Split the generation tree at the root's children; emitting each
-    # subtree's output in root-child order reproduces the serial stream
-    # byte for byte regardless of the worker count.
-    if m == 1:
-        yield from _subtree(root, root_cert, 1, m, connected_only, prune_spec)
-        return
-    first_level = []
-    parent_degrees = sorted(r.bit_count() for r in root.adj)
-    seen = set()
-    for child in _augmentations(root):
-        ccert = canonical_label(child).data
-        if ccert in seen:
-            continue
-        seen.add(ccert)
-        if _accepts(child, root_cert, parent_degrees):
-            first_level.append((child, ccert))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(
-                lambda c=child, cc=ccert: list(
-                    _subtree(c, cc, 2, m, connected_only, prune_spec)
-                )
-            )
-            for child, ccert in first_level
-        ]
-        for fut in futures:
-            yield from fut.result()
+    yield from _subtree(root, canonical_label(root).data, 1, m, connected_only, prune_spec)
 
 
 def _check_edge_budget(m: int, budget: int):
@@ -130,14 +99,14 @@ def _check_edge_budget(m: int, budget: int):
 
 
 def enumerate_by_edges(m: int, connected_only: bool = False, *,
-                       budget: int = DEFAULT_EDGE_BUDGET, threads: int = 1):
+                       budget: int = DEFAULT_EDGE_BUDGET):
     """One representative per isomorphism class with m edges and no isolated vertices.
 
     The order n of the yielded graphs floats over every feasible value
     (2..2m).  With connected_only, only connected classes are yielded.
     """
     _check_edge_budget(m, budget)
-    return (g for g, _ in _stream(m, connected_only, None, threads))
+    return (g for g, _ in _stream(m, connected_only, None))
 
 
 def enumerate_by_order(n: int, *, budget: int = ORDER_BUDGET):
@@ -187,12 +156,6 @@ def count_connected_by_order(n: int, *, budget: int = ORDER_BUDGET) -> int:
     return sum(1 for g in enumerate_by_order(n, budget=budget) if g.is_connected())
 
 
-def _lambda_any(g: Graph) -> float:
-    if g.is_connected():
-        return spectral_radius(g).lam
-    return max(spectral_radius(g.induced(comp)).lam for comp in g.components())
-
-
 def _rank(a, b):
     # Larger lambda first; ties within tolerance break toward smaller order,
     # then lexicographically least certificate.
@@ -238,9 +201,16 @@ class ExtremalRecord:
         return json.dumps(self.to_json(), indent=2)
 
 
-def extremal_search(m: int, spec: ThetaSpec, connected_only: bool = True, *,
-                    budget: int = DEFAULT_EDGE_BUDGET, threads: int = 1) -> ExtremalRecord:
-    """Maximize the spectral radius over spec-free classes with m edges.
+def extremal_search(m: int, spec: ThetaSpec, *,
+                    budget: int = DEFAULT_EDGE_BUDGET) -> ExtremalRecord:
+    """Maximize the spectral radius over connected spec-free classes with m edges.
+
+    The argmax over all spec-free classes is always connected, so only
+    connected classes are searched.  Given a disconnected candidate, put
+    the edges outside its best component back as pendant leaves on that
+    component: the result is connected with m edges, a degree-1 vertex
+    lies on no theta so it stays spec-free, and each added edge strictly
+    raises the spectral radius of a connected graph.
 
     Subtrees of the generation tree rooted at a graph already containing
     the theta are pruned: containment is monotone under adding edges and
@@ -248,9 +218,8 @@ def extremal_search(m: int, spec: ThetaSpec, connected_only: bool = True, *,
     """
     _check_edge_budget(m, budget)
     entries = []
-    for g, cert in _stream(m, connected_only, spec, threads):
-        lam = _lambda_any(g)
-        entries.append((lam, g.n, cert, g))
+    for g, cert in _stream(m, True, spec):
+        entries.append((spectral_radius(g).lam, g.n, cert, g))
     if not entries:
         raise RuntimeError(f"no {spec}-free class with {m} edges; this cannot happen for m >= 1")
     entries.sort(key=cmp_to_key(_rank))
@@ -268,8 +237,8 @@ def extremal_search(m: int, spec: ThetaSpec, connected_only: bool = True, *,
     )
 
 
-def extremal_table(m_list, spec: ThetaSpec, *, budget: int = DEFAULT_EDGE_BUDGET,
-                   threads: int = 1) -> list[dict]:
+def extremal_table(m_list, spec: ThetaSpec, *,
+                   budget: int = DEFAULT_EDGE_BUDGET) -> list[dict]:
     """Rows comparing the searched maximum against the closed-form bound.
 
     The gap may be negative for small m; the closed form is only claimed
@@ -279,7 +248,7 @@ def extremal_table(m_list, spec: ThetaSpec, *, budget: int = DEFAULT_EDGE_BUDGET
 
     rows = []
     for m in m_list:
-        rec = extremal_search(m, spec, budget=budget, threads=threads)
+        rec = extremal_search(m, spec, budget=budget)
         bound = bound_value(m)
         rows.append(
             {

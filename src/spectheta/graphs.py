@@ -99,8 +99,9 @@ class Graph:
             return 0
         return min(r.bit_count() for r in self.adj)
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, by smallest member."""
+    def _component_masks(self) -> list[int]:
+        # One vertex bitmask per connected component, by smallest member.
+        adj = self.adj
         out = []
         left = (1 << self.n) - 1
         while left:
@@ -109,41 +110,23 @@ class Graph:
             while frontier:
                 nxt = 0
                 for v in bit_indices(frontier):
-                    nxt |= self.adj[v]
+                    nxt |= adj[v]
                 frontier = nxt & ~seen
                 seen |= frontier
-            out.append(list(bit_indices(seen)))
+            out.append(seen)
             left &= ~seen
         return out
 
+    def components(self) -> list[list[int]]:
+        """Connected components as sorted vertex lists, by smallest member."""
+        return [list(bit_indices(mask)) for mask in self._component_masks()]
+
     def component_count(self) -> int:
-        count = 0
-        left = (1 << self.n) - 1
-        while left:
-            count += 1
-            seen = left & -left
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for v in bit_indices(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~seen
-                seen |= frontier
-            left &= ~seen
-        return count
+        return len(self._component_masks())
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        """Whether there is exactly one component; the empty graph has none."""
+        return len(self._component_masks()) == 1
 
     def induced(self, vertices) -> "Graph":
         """Subgraph induced by the vertex set, relabeled densely in sorted order."""

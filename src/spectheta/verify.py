@@ -96,24 +96,16 @@ def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> Decomp
     u0 = [u for u in bit_indices(umask) if not g.adj[u] & umask]
     uplus = [u for u in bit_indices(umask) if g.adj[u] & umask]
     components = []
-    left = vertex_mask(uplus)
-    while left:
-        seen = left & -left
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= g.adj[v] & umask
-            frontier = nxt & ~seen
-            seen |= frontier
-        verts = tuple(bit_indices(seen))
+    # Every U-neighbour of a U+ vertex is itself in U+, so the components of
+    # the subgraph on U+ are the nontrivial components of the subgraph on U.
+    for comp in g.induced(uplus).components():
+        verts = tuple(uplus[i] for i in comp)
         wn = 0
         for v in verts:
             wn |= g.adj[v] & wmask
         components.append(
             ComponentReport(verts, classify_component(g.induced(verts)), tuple(bit_indices(wn)))
         )
-        left &= ~seen
     u_list = list(bit_indices(umask))
     w_list = list(bit_indices(wmask))
     ledger = {
@@ -216,7 +208,12 @@ def check_lemma_conclusions(g: Graph, report: DecompositionReport,
         raise ValueError("checklist requires a connected graph")
     if contains_theta(g, _FREENESS_SPEC) is not None:
         raise ValueError("checklist requires a (2,2,3)-theta-free graph")
+    return _lemma_checklist(g, report)
 
+
+def _lemma_checklist(g: Graph, report: DecompositionReport) -> LemmaChecklist:
+    # check_lemma_conclusions without its precondition checks, for callers
+    # that already know g is connected and (2,2,3)-free.
     umask = vertex_mask(report.U)
     entries = []
 
@@ -362,7 +359,11 @@ def is_book(g: Graph) -> bool:
 
 def verify_theorem_instance(g: Graph, spec: ThetaSpec = _FREENESS_SPEC) -> dict:
     """Full certificate: freeness, spectral radius against the closed-form
-    bound, and the structure checks, with every skip recorded as null."""
+    bound, and the structure checks, with every skip recorded as null.
+
+    The lemma checklist is recorded only for connected (2,2,3)-free
+    graphs, whatever spec the freeness test uses.
+    """
     cert: dict = {"graph6": to_graph6(g), "m": g.m}
     witness = contains_theta(g, spec)
     free = witness is None
@@ -383,19 +384,19 @@ def verify_theorem_instance(g: Graph, spec: ThetaSpec = _FREENESS_SPEC) -> dict:
         res = spectral_radius(g)
         lam = res.lam
         report = decompose(g, res)
-        checklist = check_lemma_conclusions(g, report, res)
+        # The lemmas are stated for (2,2,3)-free graphs; under that spec the
+        # freeness search above has already answered.
+        free_223 = spec == _FREENESS_SPEC or contains_theta(g, _FREENESS_SPEC) is None
         cert["lambda"] = lam
         cert["ustar"] = report.ustar
         cert["ledger"] = report.ledger
         cert["components"] = [
             {"vertices": list(c.vertices), "class": c.cls.label()} for c in report.components
         ]
-        cert["lemmas"] = checklist.to_json()
+        cert["lemmas"] = _lemma_checklist(g, report).to_json() if free_223 else None
         cert["inequality1"] = inequality_one_check(g, report, res)
     else:
-        from .enumeration import _lambda_any
-
-        lam = _lambda_any(g) if g.n else None
+        lam = max((spectral_radius(g.induced(c)).lam for c in g.components()), default=None)
         cert["lambda"] = lam
         cert["ustar"] = None
         cert["ledger"] = None

@@ -79,6 +79,10 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 3
     code, out, _ = run_cli(capsys, ["enumerate", "--edges", "3", "--limit", "3"])
     assert code == 0 and out
+    monkeypatch.setenv("SPECTHETA_EDGE_BUDGET", "abc")
+    code, _, err = run_cli(capsys, ["enumerate", "--edges", "5"])
+    assert code == 2
+    assert "SPECTHETA_EDGE_BUDGET" in err and "'abc'" in err
 
 
 def test_search_json_golden(capsys):
@@ -96,12 +100,15 @@ def test_search_deterministic_across_runs_and_threads(capsys):
     for argv in (
         ["search", "--edges", "6", "--spec", "2,2,3", "--json"],
         ["search", "--edges", "6", "--spec", "2,2,3", "--json"],
-        ["search", "--edges", "6", "--spec", "2,2,3", "--json", "--threads", "4"],
     ):
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
+    # the search is single-threaded; a thread count is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--edges", "6", "--spec", "2,2,3", "--threads", "4"])
+    assert exc.value.code == 2
 
 
 def test_table(capsys):
@@ -122,12 +129,23 @@ def test_verify_json_and_exit_codes(capsys):
     assert cert["equality_case"]["iso_to_book"]
     code, _, _ = run_cli(capsys, ["verify", to_graph6(complete(6)), "--json"])
     assert code == 1
+    # K6 is (3,3,3)-free but holds a (2,2,3) theta: no lemmas, and lambda = 5
+    # exceeds the bound (1 + sqrt(57)) / 2 at m = 15
+    argv = ["verify", "--spec", "3,3,3", to_graph6(complete(6)), "--json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    cert = json.loads(out)
+    assert cert["theta_free"] and cert["lemmas"] is None
+    assert cert["lambda"] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_verify_human_mode(capsys):
     code, out, _ = run_cli(capsys, ["verify", to_graph6(book(3))])
     assert code == 0
     assert "theta_free: true" in out
+    assert "checklist: 8/8 hold" in out
+    code, out, _ = run_cli(capsys, ["verify", "--spec", "3,3,3", to_graph6(book(3))])
+    assert code == 0
     assert "checklist: 8/8 hold" in out
 
 
@@ -144,11 +162,3 @@ def test_family_usage_error(capsys):
     code, _, err = run_cli(capsys, ["family", "book"])
     assert code == 2
     assert "needs --k" in err
-
-
-def test_enumerate_threads_match(capsys):
-    code, serial, _ = run_cli(capsys, ["enumerate", "--edges", "5"])
-    assert code == 0
-    code, parallel, _ = run_cli(capsys, ["enumerate", "--edges", "5", "--threads", "4"])
-    assert code == 0
-    assert serial == parallel

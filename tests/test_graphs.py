@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import graphs_on
+
 from spectheta import (
     Graph,
     book,
@@ -95,6 +97,31 @@ def test_connectivity_and_components():
     assert book(4).is_connected()
     assert not Graph(0).is_connected()
     assert Graph(1).is_connected()
+
+    def dfs_components(g):
+        seen, out = set(), []
+        for s in range(g.n):
+            if s in seen:
+                continue
+            seen.add(s)
+            stack, comp = [s], []
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for v in range(g.n):
+                    if g.has_edge(u, v) and v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            out.append(sorted(comp))
+        return out
+
+    # every labelled graph on at most 5 vertices, the empty graph included
+    for n in range(6):
+        for g in graphs_on(n):
+            want = dfs_components(g)
+            assert g.components() == want
+            assert g.component_count() == len(want)
+            assert g.is_connected() == (len(want) == 1)
 
 
 def test_induced():

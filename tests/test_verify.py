@@ -67,6 +67,12 @@ def test_decompose_partition_and_ledger_random():
         assert ledger["sizeU"] + ledger["eUplus"] + ledger["eUW"] + ledger["eW"] == g.m
         assert sorted((rep.ustar,) + rep.U + rep.W) == list(range(g.n))
         assert sorted(rep.U0 + rep.Uplus) == sorted(rep.U)
+        # components partition U+, each connected inside U with no edge to another
+        assert sorted(v for c in rep.components for v in c.vertices) == sorted(rep.Uplus)
+        for c in rep.components:
+            assert g.induced(c.vertices).is_connected()
+            others = [v for d in rep.components if d is not c for v in d.vertices]
+            assert g.edge_count_between(c.vertices, others) == 0
 
 
 def test_decompose_rejects_disconnected():
