@@ -3,7 +3,9 @@
 Graphs are passed as graph6 strings, either as the positional argument or
 one per line on stdin, so subcommands compose through pipes.  Exit codes:
 0 success, 1 a checked property does not hold, 2 usage error, 3 the
-enumeration budget guard tripped.
+enumeration budget guard tripped.  A bad graph6 line on stdin stops the
+stream: earlier lines keep their output, the error goes to stderr and the
+exit code is 2.
 """
 
 from __future__ import annotations
@@ -154,12 +156,8 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stream = enumerate_by_edges(args.edges, args.connected, budget=_edge_budget(args))
-    from .theta import is_theta_free
-
-    for g in stream:
-        if args.free is not None and not is_theta_free(g, args.free):
-            continue
+    for g in enumerate_by_edges(args.edges, args.connected, free=args.free,
+                                budget=_edge_budget(args)):
         print(to_graph6(g))
     return 0
 

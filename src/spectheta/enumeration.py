@@ -72,13 +72,15 @@ def _subtree(g: Graph, cert: bytes, level: int, m: int, connected_only: bool, pr
     for child in _augmentations(g):
         if connected_only and child.component_count() - 1 > remaining_after:
             continue
-        if prune_spec is not None and contains_theta(child, prune_spec) is not None:
-            continue
         ccert = canonical_label(child).data
         if ccert in seen:
             continue
         seen.add(ccert)
         if not _accepts(child, cert, parent_degrees):
+            continue
+        # Containment is the same for every member of a class, so the theta
+        # check runs last, once per accepted class instead of once per child.
+        if prune_spec is not None and contains_theta(child, prune_spec) is not None:
             continue
         yield from _subtree(child, ccert, level + 1, m, connected_only, prune_spec)
 
@@ -99,14 +101,18 @@ def _check_edge_budget(m: int, budget: int):
 
 
 def enumerate_by_edges(m: int, connected_only: bool = False, *,
+                       free: ThetaSpec | None = None,
                        budget: int = DEFAULT_EDGE_BUDGET):
     """One representative per isomorphism class with m edges and no isolated vertices.
 
     The order n of the yielded graphs floats over every feasible value
     (2..2m).  With connected_only, only connected classes are yielded.
+    With free, only classes free of that theta are yielded; subtrees rooted
+    at a graph containing it are pruned, which loses no free class because
+    containment is kept by adding edges and vertices.
     """
     _check_edge_budget(m, budget)
-    return (g for g, _ in _stream(m, connected_only, None))
+    return (g for g, _ in _stream(m, connected_only, free))
 
 
 def enumerate_by_order(n: int, *, budget: int = ORDER_BUDGET):

@@ -60,11 +60,23 @@ def test_enumerate_stream(capsys):
 
 
 def test_enumerate_free_filter(capsys):
-    code, out, _ = run_cli(capsys, ["enumerate", "--edges", "7", "--connected", "--free", "2,2,3"])
-    assert code == 0
-    lines = out.split()
-    code2, out2, _ = run_cli(capsys, ["enumerate", "--edges", "7", "--connected"])
-    assert len(lines) < len(out2.split())
+    # --free prunes inside the generator; its lines must be the unfiltered
+    # stream's free lines, in the same order.
+    from spectheta import ThetaSpec, from_graph6, is_theta_free
+
+    for m in range(1, 9):
+        for connected in ([], ["--connected"]):
+            _, out, _ = run_cli(capsys, ["enumerate", "--edges", str(m)] + connected)
+            lines = out.splitlines()
+            for text in ("2,2,3", "3,3,3", "1,2,2"):
+                spec = ThetaSpec.parse(text)
+                want = [g6 for g6 in lines if is_theta_free(from_graph6(g6), spec)]
+                argv = ["enumerate", "--edges", str(m), "--free", text] + connected
+                code, out, _ = run_cli(capsys, argv)
+                assert code == 0
+                assert out.splitlines() == want
+                if m >= spec.r + spec.p + spec.q:
+                    assert len(want) < len(lines)
 
 
 def test_budget_guard_exit_3(capsys):
@@ -147,6 +159,20 @@ def test_verify_human_mode(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--spec", "3,3,3", to_graph6(book(3))])
     assert code == 0
     assert "checklist: 8/8 hold" in out
+
+
+def test_bad_line_mid_stream(capsys, monkeypatch):
+    # Lines before the bad one keep their output; the error goes to stderr
+    # and the exit code is 2.
+    code, out, err = run_cli(capsys, ["radius"], stdin="Bw\n~\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert out.splitlines()[0].split()[0] == "2.000000000" and len(out.splitlines()) == 1
+    assert err == "error: truncated graph6 header\n"
+    code, out, err = run_cli(capsys, ["verify", "--json"], stdin="Bw\n~\n",
+                             monkeypatch=monkeypatch)
+    assert code == 2
+    assert json.loads(out)["graph6"] == "Bw"
+    assert err == "error: truncated graph6 header\n"
 
 
 def test_nosal(capsys):

@@ -18,6 +18,7 @@ from spectheta import (
     enumerate_by_order,
     extremal_search,
     extremal_table,
+    is_theta_free,
     path,
     spectral_radius,
     star,
@@ -128,6 +129,15 @@ def test_book_always_feasible_for_odd_m():
     for m in (3, 5, 7, 9):
         rec = extremal_search(m, spec)
         assert rec.best_lambda >= spectral_radius(book((m - 1) // 2)).lam - 1e-9
+
+
+def test_theta_prune_keeps_every_free_class():
+    # The search prunes inside the generation tree; a post-filter over the
+    # unpruned connected stream must find exactly as many free classes.
+    spec = ThetaSpec(2, 2, 3)
+    for m in range(1, 10):
+        want = sum(1 for g in enumerate_by_edges(m, True) if is_theta_free(g, spec))
+        assert extremal_search(m, spec).num_candidates == want
 
 
 def test_runner_ups_ordered():

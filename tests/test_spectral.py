@@ -7,6 +7,7 @@ import pytest
 from helpers import random_connected_graph
 
 from spectheta import (
+    ConvergenceError,
     Graph,
     book,
     bound_value,
@@ -49,6 +50,49 @@ def test_result_contract():
     assert float(np.max(np.abs(a @ res.perron - res.lam * res.perron))) <= 1e-11
 
 
+def test_closed_forms_at_256_vertices():
+    cases = (
+        (path(256), 2 * math.cos(math.pi / 257)),
+        (cycle(256), 2.0),
+        (complete_bipartite(128, 128), 128.0),
+        (star(256), math.sqrt(255)),
+    )
+    for g, want in cases:
+        res = spectral_radius(g)
+        assert res.lam == pytest.approx(want, rel=1e-12, abs=0)
+        assert res.residual <= 1e-12 * res.lam
+        assert float(res.perron.min()) > 0
+
+
+def test_tiny_spectral_gap_tree():
+    # Caterpillar: a 156-vertex spine with legs at spine vertices 24 and 90.
+    # Its two top eigenvalues differ by about 6.5e-7, so power iteration would
+    # need ~5e7 steps; a direct solve must not care.  A strictly positive
+    # eigenvector of a connected graph belongs to its largest eigenvalue, so
+    # the residual and the sign check together pin lambda.
+    spine = 156
+    edges = [(v, v + 1) for v in range(spine - 1)] + [(24, spine), (90, spine + 1)]
+    g = Graph(spine + 2, edges)
+    res = spectral_radius(g)
+    assert res.iterations == 0
+    assert res.residual <= 1e-12 * res.lam
+    assert abs(float(np.linalg.norm(res.perron)) - 1.0) <= 1e-12
+    assert float(res.perron.min()) > 0
+    assert 2.0 < res.lam < 2.1
+
+
+def test_residual_guard_raises(monkeypatch):
+    exact = np.linalg.eigh
+
+    def perturbed(a):
+        w, v = exact(a)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(ConvergenceError):
+        spectral_radius(cycle(9))
+
+
 def test_matches_dense_eigensolver():
     rng = random.Random(2)
     for _ in range(25):
@@ -83,7 +127,7 @@ def test_bound_value():
 
 
 def test_bound_matches_book_lambda():
-    for k in (1, 2, 3, 10, 40):
+    for k in (1, 2, 3, 10, 40, 127, 254):
         g = book(k)
         assert spectral_radius(g).lam == pytest.approx(bound_value(g.m), abs=1e-9)
 
