@@ -54,11 +54,15 @@ def _refine(adj, cells, work):
     return cells
 
 
-def _twin_representatives(adj, cell):
-    # One vertex per twin class; twins have equal rows (non-adjacent) or
-    # rows differing exactly in each other's bits (adjacent).
+def twin_classes(adj, vertices) -> list[list[int]]:
+    """Partition vertices into twin classes, members and classes in input order.
+
+    Twins have equal open neighborhoods (non-adjacent) or equal closed
+    neighborhoods (adjacent); swapping two twins is an automorphism.  A
+    vertex cannot have twins of both kinds, so this is an equivalence.
+    """
     classes = []
-    for v in cell:
+    for v in vertices:
         for cls in classes:
             u = cls[0]
             if adj[u] == adj[v] or (adj[u] ^ adj[v]) == ((1 << u) | (1 << v)):
@@ -66,7 +70,7 @@ def _twin_representatives(adj, cell):
                 break
         else:
             classes.append([v])
-    return [cls[0] for cls in classes]
+    return classes
 
 
 def _component_canonical(adj, k):
@@ -104,7 +108,8 @@ def _component_canonical(adj, k):
                 best_order = tuple(order)
             return
         target = cells[len(order)]
-        for v in _twin_representatives(adj, target):
+        for cls in twin_classes(adj, target):
+            v = cls[0]
             rest = [w for w in target if w != v]
             branch = cells[: len(order)] + [[v], rest] + cells[len(order) + 1:]
             descend(_refine(adj, branch, [1 << v]))

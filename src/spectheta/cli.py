@@ -2,10 +2,11 @@
 
 Graphs are passed as graph6 strings, either as the positional argument or
 one per line on stdin, so subcommands compose through pipes.  Exit codes:
-0 success, 1 a checked property does not hold, 2 usage error, 3 the
-enumeration budget guard tripped.  A bad graph6 line on stdin stops the
-stream: earlier lines keep their output, the error goes to stderr and the
-exit code is 2.
+0 success, 1 a checked property does not hold, 2 usage error or an input
+the package cannot answer (an eigenpair that misses the residual target),
+3 the enumeration budget guard tripped.  A bad graph6 line on stdin stops
+the stream: earlier lines keep their output, the error goes to stderr and
+the exit code is 2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .enumeration import (
 )
 from .graph6 import from_graph6, to_graph6
 from .graphs import family
-from .spectral import check_nosal, spectral_radius
+from .spectral import ConvergenceError, check_nosal, spectral_radius
 from .theta import ThetaSpec, contains_theta
 from .verify import verify_theorem_instance
 
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

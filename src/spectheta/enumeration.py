@@ -8,6 +8,13 @@ parent it came from, which makes every isomorphism class reachable from
 exactly one parent class; children of a single parent are deduplicated by
 certificate because equivalent augmentations of one parent pass the same
 test.  Memory stays bounded by one parent's child list per level.
+
+Each parent is augmented once per twin class (vertices with equal open or
+closed neighborhoods): swapping two twins is an automorphism of the parent,
+so a child whose endpoints are not the least members of their classes is
+isomorphic to an earlier child that is, and no class is lost.  Component
+counts of the children come from the parent's components, so a child that
+the connected-only prune drops is never built.
 """
 
 from __future__ import annotations
@@ -16,9 +23,15 @@ import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .canon import canonical_edge, canonical_form, canonical_label, canonical_order
+from .canon import (
+    canonical_edge,
+    canonical_form,
+    canonical_label,
+    canonical_order,
+    twin_classes,
+)
 from .graph6 import to_graph6
-from .graphs import MAX_N, Graph, complete
+from .graphs import MAX_N, Graph, bit_indices, complete
 from .spectral import COMPARISON_TOL, spectral_radius
 from .theta import ThetaSpec, contains_theta
 
@@ -38,56 +51,84 @@ def _delete_with_cleanup(g: Graph, u: int, v: int) -> Graph:
     return h.induced(keep)
 
 
-def _augmentations(g: Graph):
+def _augmentations(g: Graph, max_components: int):
+    """Children of g, one per twin-class choice of endpoints.
+
+    Yields (child, added edge, component count) in the order of the full
+    augmentation loop: non-edges by (u, v), pendants by u, then the fresh
+    disjoint edge.  An endpoint must be the least member of its twin class,
+    or the second least when both endpoints share a class.  Children with
+    more than max_components components are skipped before they are built.
+    A skipped child is the image of an earlier kept child under a swap of
+    twins, so every certificate keeps its first child.
+    """
     n = g.n
-    for u in range(n):
-        row = g.adj[u]
-        for v in range(u + 1, n):
-            if not (row >> v) & 1:
-                yield g.with_edge(u, v)
-    if n + 1 <= MAX_N:
-        base = list(g.edges())
-        for u in range(n):
-            yield Graph(n + 1, base + [(u, n)])
-        if n + 2 <= MAX_N:
-            yield Graph(n + 2, base + [(n, n + 1)])
+    adj = g.adj
+    lead = 0
+    second = {}
+    for cls in twin_classes(adj, range(n)):
+        lead |= 1 << cls[0]
+        if len(cls) > 1:
+            second[cls[0]] = 1 << cls[1]
+    masks = g._component_masks()
+    c = len(masks)
+    comp = [0] * n
+    for mask in masks:
+        for v in bit_indices(mask):
+            comp[v] = mask
+    for u in bit_indices(lead):
+        later = (lead | second.get(u, 0)) & ~adj[u] & ~((2 << u) - 1)
+        for v in bit_indices(later):
+            count = c if (comp[u] >> v) & 1 else c - 1
+            if count <= max_components:
+                yield g.with_edge(u, v), (u, v), count
+    if n + 1 <= MAX_N and c <= max_components:
+        for u in bit_indices(lead):
+            rows = list(adj)
+            rows[u] |= 1 << n
+            rows.append(1 << u)
+            yield Graph._from_rows(rows), (u, n), c
+    if n + 2 <= MAX_N and c + 1 <= max_components:
+        yield Graph._from_rows(list(adj) + [1 << (n + 1), 1 << n]), (n, n + 1), c + 1
 
 
-def _accepts(child: Graph, parent_cert: bytes, parent_degrees) -> bool:
+def _accepts(child: Graph, parent_cert: bytes, a: int, b: int) -> bool:
     u, v = canonical_edge(child)
-    canonical_parent = _delete_with_cleanup(child, u, v)
-    if sorted(r.bit_count() for r in canonical_parent.adj) != parent_degrees:
+    adj = child.adj
+    # A deletion lowers just its endpoints' degrees: equal sequences iff equal pairs.
+    if (sorted((adj[u].bit_count(), adj[v].bit_count()))
+            != sorted((adj[a].bit_count(), adj[b].bit_count()))):
         return False
-    return canonical_label(canonical_parent).data == parent_cert
+    return canonical_label(_delete_with_cleanup(child, u, v)).data == parent_cert
 
 
-def _subtree(g: Graph, cert: bytes, level: int, m: int, connected_only: bool, prune_spec):
+def _subtree(g: Graph, cert: bytes, components: int, level: int, m: int,
+             connected_only: bool, prune_spec):
     if level == m:
-        if not connected_only or g.is_connected():
+        if not connected_only or components == 1:
             yield g, cert
         return
-    remaining_after = m - level - 1
-    parent_degrees = sorted(r.bit_count() for r in g.adj)
+    # Each edge still to add merges at most two components.
+    max_components = m - level if connected_only else MAX_N
     seen = set()
-    for child in _augmentations(g):
-        if connected_only and child.component_count() - 1 > remaining_after:
-            continue
+    for child, (a, b), child_components in _augmentations(g, max_components):
         ccert = canonical_label(child).data
         if ccert in seen:
             continue
         seen.add(ccert)
-        if not _accepts(child, cert, parent_degrees):
+        if not _accepts(child, cert, a, b):
             continue
         # Containment is the same for every member of a class, so the theta
         # check runs last, once per accepted class instead of once per child.
         if prune_spec is not None and contains_theta(child, prune_spec) is not None:
             continue
-        yield from _subtree(child, ccert, level + 1, m, connected_only, prune_spec)
+        yield from _subtree(child, ccert, child_components, level + 1, m, connected_only,
+                            prune_spec)
 
 
 def _stream(m: int, connected_only: bool, prune_spec):
     root = complete(2)
-    yield from _subtree(root, canonical_label(root).data, 1, m, connected_only, prune_spec)
+    yield from _subtree(root, canonical_label(root).data, 1, 1, m, connected_only, prune_spec)
 
 
 def _check_edge_budget(m: int, budget: int):

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from spectheta import book, complete, complete_bipartite, to_graph6
@@ -57,6 +59,15 @@ def test_enumerate_stream(capsys):
     got = {canonical_label(from_graph6(line)).data for line in out.split()}
     want = {canonical_label(g).data for g in (complete(3), path(4), star(4))}
     assert got == want
+
+
+def test_enumerate_stream_bytes_pinned(capsys):
+    # Any change to the representatives or their order changes this digest.
+    code, out, _ = run_cli(capsys, ["enumerate", "--edges", "8"])
+    assert code == 0
+    assert len(out.splitlines()) == 497
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a6c0795ec2ff1916964de702d4adce11c818068e58e6a7f576123bced319b576"
 
 
 def test_enumerate_free_filter(capsys):
@@ -173,6 +184,27 @@ def test_bad_line_mid_stream(capsys, monkeypatch):
     assert code == 2
     assert json.loads(out)["graph6"] == "Bw"
     assert err == "error: truncated graph6 header\n"
+
+
+def test_convergence_error_exits_2(capsys, monkeypatch):
+    # An eigenpair that misses the residual target is an input the package
+    # cannot answer: exit 2 with one error line, earlier lines keep output.
+    exact = np.linalg.eigh
+
+    def perturbed(a):
+        w, v = exact(a)
+        return (w + 1e-6, v) if a.shape[0] > 3 else (w, v)
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    stdin = "Bw\n" + to_graph6(book(3)) + "\n"
+    code, out, err = run_cli(capsys, ["radius"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out.splitlines()[0].split()[0] == "2.000000000" and len(out.splitlines()) == 1
+    assert err.startswith("error: eigenpair residual ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, ["verify", "--json"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 2
+    assert json.loads(out)["graph6"] == "Bw"
+    assert err.startswith("error: eigenpair residual ") and err.count("\n") == 1
 
 
 def test_nosal(capsys):

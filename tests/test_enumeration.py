@@ -5,6 +5,7 @@ import pytest
 from helpers import brute_force_class_key, graphs_on, labeled_graphs_with_edges
 
 from spectheta import (
+    MAX_N,
     BudgetError,
     Graph,
     ThetaSpec,
@@ -23,11 +24,12 @@ from spectheta import (
     spectral_radius,
     star,
 )
+from spectheta.enumeration import _augmentations
 
-# Published counts of graphs with m edges and no isolated vertices, m = 1..8
-# (OEIS A000664), and of the connected ones with 8 edges (A002905).
-CLASSES_BY_EDGES = [1, 2, 5, 11, 26, 68, 177, 497]
-CONNECTED_CLASSES_8_EDGES = 227
+# Published counts of graphs with m edges and no isolated vertices, m = 1..9
+# (OEIS A000664), and of the connected ones with 8 and 9 edges (A002905).
+CLASSES_BY_EDGES = [1, 2, 5, 11, 26, 68, 177, 497, 1476]
+CONNECTED_CLASSES_BY_EDGES = {8: 227, 9: 710}
 
 
 def test_tiny_levels_match_hand_enumeration():
@@ -43,7 +45,59 @@ def test_tiny_levels_match_hand_enumeration():
 def test_class_counts():
     for m, want in enumerate(CLASSES_BY_EDGES, start=1):
         assert sum(1 for _ in enumerate_by_edges(m)) == want
-    assert sum(1 for _ in enumerate_by_edges(8, True)) == CONNECTED_CLASSES_8_EDGES
+    for m, want in CONNECTED_CLASSES_BY_EDGES.items():
+        assert sum(1 for _ in enumerate_by_edges(m, True)) == want
+
+
+def test_pairwise_non_isomorphic_under_networkx():
+    # Independent oracle for the dedupe: no two outputs with the same degree
+    # sequence are isomorphic according to networkx.
+    nx = pytest.importorskip("networkx")
+    for m in range(1, 8):
+        buckets = {}
+        for g in enumerate_by_edges(m):
+            h = nx.Graph(list(g.edges()))
+            key = tuple(sorted(d for _, d in h.degree()))
+            for other in buckets.setdefault(key, []):
+                assert not nx.is_isomorphic(h, other)
+            buckets[key].append(h)
+
+
+def _all_augmentations(g):
+    # Reference: every non-edge, every pendant, then the fresh disjoint edge.
+    n = g.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v):
+                yield g.with_edge(u, v), (u, v)
+    for u in range(n):
+        yield Graph(n + 1, list(g.edges()) + [(u, n)]), (u, n)
+    yield Graph(n + 2, list(g.edges()) + [(n, n + 1)]), (n, n + 1)
+
+
+def _first_per_certificate(children):
+    seen = set()
+    out = []
+    for child, edge in children:
+        cert = canonical_label(child).data
+        if cert not in seen:
+            seen.add(cert)
+            out.append((child, edge))
+    return out
+
+
+def test_twin_augmentations_keep_first_child_per_certificate():
+    for n in range(1, 7):
+        for g in enumerate_by_order(n):
+            want = _first_per_certificate(_all_augmentations(g))
+            got = list(_augmentations(g, MAX_N))
+            assert _first_per_certificate((c, e) for c, e, _ in got) == want
+            for child, (a, b), count in got:
+                assert count == child.component_count()
+                assert child.without_edge(a, b).adj[:g.n] == g.adj
+            limit = g.component_count()
+            assert [c for c, _, _ in _augmentations(g, limit)] == [
+                c for c, _, count in got if count <= limit]
 
 
 def test_no_duplicates_and_basic_shape():
