@@ -15,6 +15,11 @@ so a child whose endpoints are not the least members of their classes is
 isomorphic to an earlier child that is, and no class is lost.  Component
 counts of the children come from the parent's components, so a child that
 the connected-only prune drops is never built.
+
+The same tree enumerates by order: walked with an order limit of n and no
+edge limit short of the complete graph, every node is a class on at most n
+vertices without isolated vertices, and padding it with isolated vertices
+up to n gives each class on exactly n vertices once, after the edgeless one.
 """
 
 from __future__ import annotations
@@ -27,12 +32,12 @@ from .canon import (
     canonical_edge,
     canonical_form,
     canonical_label,
-    canonical_order,
+    canonical_order,  # noqa: F401  (perfbench/tracing.py hooks this name)
     twin_classes,
 )
 from .graph6 import to_graph6
 from .graphs import MAX_N, Graph, bit_indices, complete
-from .spectral import COMPARISON_TOL, spectral_radius
+from .spectral import COMPARISON_TOL, bound_value, spectral_radius
 from .theta import ThetaSpec, contains_theta
 
 DEFAULT_EDGE_BUDGET = 12
@@ -51,16 +56,17 @@ def _delete_with_cleanup(g: Graph, u: int, v: int) -> Graph:
     return h.induced(keep)
 
 
-def _augmentations(g: Graph, max_components: int):
+def _augmentations(g: Graph, max_components: int, max_order: int):
     """Children of g, one per twin-class choice of endpoints.
 
     Yields (child, added edge, component count) in the order of the full
     augmentation loop: non-edges by (u, v), pendants by u, then the fresh
     disjoint edge.  An endpoint must be the least member of its twin class,
     or the second least when both endpoints share a class.  Children with
-    more than max_components components are skipped before they are built.
-    A skipped child is the image of an earlier kept child under a swap of
-    twins, so every certificate keeps its first child.
+    more than max_components components or max_order vertices are skipped
+    before they are built.  A skipped twin child is the image of an earlier
+    kept child under a swap of twins, so every certificate keeps its first
+    child.
     """
     n = g.n
     adj = g.adj
@@ -82,13 +88,13 @@ def _augmentations(g: Graph, max_components: int):
             count = c if (comp[u] >> v) & 1 else c - 1
             if count <= max_components:
                 yield g.with_edge(u, v), (u, v), count
-    if n + 1 <= MAX_N and c <= max_components:
+    if n + 1 <= max_order and c <= max_components:
         for u in bit_indices(lead):
             rows = list(adj)
             rows[u] |= 1 << n
             rows.append(1 << u)
             yield Graph._from_rows(rows), (u, n), c
-    if n + 2 <= MAX_N and c + 1 <= max_components:
+    if n + 2 <= max_order and c + 1 <= max_components:
         yield Graph._from_rows(list(adj) + [1 << (n + 1), 1 << n]), (n, n + 1), c + 1
 
 
@@ -102,16 +108,17 @@ def _accepts(child: Graph, parent_cert: bytes, a: int, b: int) -> bool:
     return canonical_label(_delete_with_cleanup(child, u, v)).data == parent_cert
 
 
-def _subtree(g: Graph, cert: bytes, components: int, level: int, m: int,
-             connected_only: bool, prune_spec):
+def _subtree(g: Graph, cert: bytes, components: int, m: int,
+             connected_only: bool, prune_spec, max_order: int):
+    # Every node, depth first, down to m edges: (graph, certificate, components).
+    yield g, cert, components
+    level = g.m
     if level == m:
-        if not connected_only or components == 1:
-            yield g, cert
         return
     # Each edge still to add merges at most two components.
     max_components = m - level if connected_only else MAX_N
     seen = set()
-    for child, (a, b), child_components in _augmentations(g, max_components):
+    for child, (a, b), child_components in _augmentations(g, max_components, max_order):
         ccert = canonical_label(child).data
         if ccert in seen:
             continue
@@ -122,13 +129,21 @@ def _subtree(g: Graph, cert: bytes, components: int, level: int, m: int,
         # check runs last, once per accepted class instead of once per child.
         if prune_spec is not None and contains_theta(child, prune_spec) is not None:
             continue
-        yield from _subtree(child, ccert, child_components, level + 1, m, connected_only,
-                            prune_spec)
+        yield from _subtree(child, ccert, child_components, m, connected_only, prune_spec,
+                            max_order)
+
+
+def _walk(m: int, connected_only: bool, prune_spec, max_order: int):
+    root = complete(2)
+    return _subtree(root, canonical_label(root).data, 1, m, connected_only, prune_spec,
+                    max_order)
 
 
 def _stream(m: int, connected_only: bool, prune_spec):
-    root = complete(2)
-    yield from _subtree(root, canonical_label(root).data, 1, 1, m, connected_only, prune_spec)
+    # The classes with exactly m edges, connected ones only when asked.
+    for g, cert, components in _walk(m, connected_only, prune_spec, MAX_N):
+        if g.m == m and (not connected_only or components == 1):
+            yield g, cert
 
 
 def _check_edge_budget(m: int, budget: int):
@@ -156,51 +171,32 @@ def enumerate_by_edges(m: int, connected_only: bool = False, *,
     return (g for g, _ in _stream(m, connected_only, free))
 
 
-def enumerate_by_order(n: int, *, budget: int = ORDER_BUDGET):
+def enumerate_by_order(n: int):
     """One representative per isomorphism class on exactly n vertices.
 
     Isolated vertices are allowed here; this enumerator exists to
-    cross-check detectors and counts on complete small-order corpora.
-    Vertex augmentation with canonical-vertex deletion: a child survives
-    only when removing the vertex in its last canonical position
-    regenerates the parent.
+    cross-check detectors and counts on complete small-order corpora.  The
+    edgeless graph comes first.  The rest is the edge tree walked with an
+    order limit of n, each node padded with isolated vertices up to n.  No
+    class is lost: a graph on n vertices is a graph with no isolated
+    vertices on at most n vertices plus isolated vertices, and canonical
+    deletion never raises the order, so the limit prunes no ancestor of a
+    kept class.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
-    if n > budget:
-        raise BudgetError(f"order {n} exceeds the enumeration budget {budget}")
-
-    def grow(g, cert):
-        if g.n == n:
-            yield g
-            return
-        parent_degrees = sorted(r.bit_count() for r in g.adj)
-        base = list(g.edges())
-        seen = set()
-        for neighbor_mask in range(1 << g.n):
-            child = Graph(
-                g.n + 1,
-                base + [(u, g.n) for u in range(g.n) if (neighbor_mask >> u) & 1],
-            )
-            ccert = canonical_label(child).data
-            if ccert in seen:
-                continue
-            seen.add(ccert)
-            last = canonical_order(child)[-1]
-            parent = child.induced([w for w in range(child.n) if w != last])
-            if sorted(r.bit_count() for r in parent.adj) != parent_degrees:
-                continue
-            if canonical_label(parent).data != cert:
-                continue
-            yield from grow(child, ccert)
-
-    root = Graph(1)
-    yield from grow(root, canonical_label(root).data)
+    if n > ORDER_BUDGET:
+        raise BudgetError(f"order {n} exceeds the enumeration budget {ORDER_BUDGET}")
+    yield Graph(n)
+    if n < 2:
+        return
+    for g, _, _ in _walk(n * (n - 1) // 2, False, None, n):
+        yield Graph._from_rows(g.adj + (0,) * (n - g.n))
 
 
-def count_connected_by_order(n: int, *, budget: int = ORDER_BUDGET) -> int:
+def count_connected_by_order(n: int) -> int:
     """Number of connected isomorphism classes on n vertices."""
-    return sum(1 for g in enumerate_by_order(n, budget=budget) if g.is_connected())
+    return sum(1 for g in enumerate_by_order(n) if g.is_connected())
 
 
 def _rank(a, b):
@@ -291,8 +287,6 @@ def extremal_table(m_list, spec: ThetaSpec, *,
     The gap may be negative for small m; the closed form is only claimed
     from a much larger size onward, so small-m rows are empirical data.
     """
-    from .spectral import bound_value
-
     rows = []
     for m in m_list:
         rec = extremal_search(m, spec, budget=budget)

@@ -20,7 +20,6 @@ import numpy as np
 from .graphs import Graph, bit_indices
 
 CONVERGENCE_TOL = 1e-12
-IDENTITY_TOL = 1e-8
 COMPARISON_TOL = 1e-9
 EQUALITY_TOL = 1e-6
 
@@ -101,26 +100,15 @@ def triangle_free(g: Graph) -> bool:
 
 
 def _complete_bipartite_parts(g: Graph):
-    # Two-color a connected graph; returns sorted part sizes when the graph
-    # is complete bipartite, else None.
-    color = [-1] * g.n
-    color[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in bit_indices(g.adj[u]):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    nxt.append(v)
-                elif color[v] == color[u]:
-                    return None
-        frontier = nxt
-    s = color.count(0)
-    t = g.n - s
-    if g.m != s * t:
-        return None
-    return tuple(sorted((s, t)))
+    # Sorted part sizes when the connected graph g is complete bipartite,
+    # else None.  The parts can only be B = N(0) and A = the rest, and every
+    # vertex must be adjacent to exactly the other part.
+    b = g.adj[0]
+    a = ((1 << g.n) - 1) & ~b
+    for v in range(g.n):
+        if g.adj[v] != (b if (a >> v) & 1 else a):
+            return None
+    return tuple(sorted((a.bit_count(), b.bit_count())))
 
 
 def check_nosal(g: Graph) -> dict:

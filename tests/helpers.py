@@ -12,6 +12,16 @@ def relabeled(g: Graph, perm) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def to_networkx(g: Graph):
+    """The same graph as a networkx.Graph on nodes 0..n-1."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 def random_permutation(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)

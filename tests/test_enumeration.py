@@ -90,14 +90,19 @@ def test_twin_augmentations_keep_first_child_per_certificate():
     for n in range(1, 7):
         for g in enumerate_by_order(n):
             want = _first_per_certificate(_all_augmentations(g))
-            got = list(_augmentations(g, MAX_N))
+            got = list(_augmentations(g, MAX_N, MAX_N))
             assert _first_per_certificate((c, e) for c, e, _ in got) == want
             for child, (a, b), count in got:
                 assert count == child.component_count()
                 assert child.without_edge(a, b).adj[:g.n] == g.adj
             limit = g.component_count()
-            assert [c for c, _, _ in _augmentations(g, limit)] == [
+            assert [c for c, _, _ in _augmentations(g, limit, MAX_N)] == [
                 c for c, _, count in got if count <= limit]
+            # The order limit keeps only the non-edges at g.n; g.n + 1 adds the pendants.
+            non_edges = [c for c, (_, b), _ in got if b < g.n]
+            pendants = [c for c, (a, b), _ in got if a < g.n == b]
+            assert [c for c, _, _ in _augmentations(g, MAX_N, g.n)] == non_edges
+            assert [c for c, _, _ in _augmentations(g, MAX_N, g.n + 1)] == non_edges + pendants
 
 
 def test_no_duplicates_and_basic_shape():
@@ -140,7 +145,11 @@ def test_budget_guard():
 def test_enumerate_by_order_counts():
     want = [1, 2, 4, 11, 34, 156]
     for n, count in enumerate(want, start=1):
-        assert sum(1 for _ in enumerate_by_order(n)) == count
+        graphs = list(enumerate_by_order(n))
+        assert len(graphs) == count
+        assert all(g.n == n for g in graphs)
+        certs = {canonical_label(g).data for g in graphs}
+        assert len(certs) == count
     with pytest.raises(BudgetError):
         list(enumerate_by_order(9))
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import graphs_on, random_connected_graph
+from helpers import graphs_on, random_connected_graph, to_networkx
 
 from spectheta import Graph, book, complete, cycle, from_graph6, path, star, to_graph6
 
@@ -62,3 +62,27 @@ def test_order_budget():
     too_big = "~" + chr(63 + ((300 >> 12) & 63)) + chr(63 + ((300 >> 6) & 63)) + chr(63 + (300 & 63))
     with pytest.raises(ValueError, match="budget"):
         from_graph6(too_big)
+
+
+def _graph6_corpus():
+    rng = random.Random(7)
+    corpus = [Graph(1), Graph(5), complete(6), book(4), path(63), cycle(100)]
+    for _ in range(40):
+        corpus.append(random_connected_graph(rng, max_n=20))
+    for n in (63, 100):
+        # Random sparse and dense graphs at the long-header orders.
+        for p in (0.05, 0.5):
+            corpus.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < p]))
+    return corpus
+
+
+def test_graph6_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _graph6_corpus():
+        s = to_graph6(g)
+        assert s == nx.to_graph6_bytes(to_networkx(g), header=False).decode().rstrip("\n")
+        back = nx.from_graph6_bytes(s.encode())
+        assert back.number_of_nodes() == g.n
+        assert sorted(tuple(sorted(e)) for e in back.edges()) == sorted(g.edges())
+        assert from_graph6(s) == g

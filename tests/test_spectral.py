@@ -21,6 +21,7 @@ from spectheta import (
     spectral_radius,
     star,
 )
+from spectheta.spectral import _complete_bipartite_parts
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -137,6 +138,14 @@ def test_nosal_equality_case():
     assert report["triangle_free"] and report["satisfied"]
     assert report["equality_structure"] == (2, 4)
     assert report["lambda"] == pytest.approx(math.sqrt(8), abs=1e-9)
+
+
+def test_complete_bipartite_parts():
+    for s in range(1, 5):
+        for t in range(1, 5):
+            assert _complete_bipartite_parts(complete_bipartite(s, t)) == tuple(sorted((s, t)))
+    for g in (path(4), cycle(6), book(2)):
+        assert _complete_bipartite_parts(g) is None
 
 
 def test_nosal_strict_cases():

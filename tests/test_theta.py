@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, to_networkx
 
 from spectheta import (
     Graph,
@@ -145,6 +145,38 @@ def test_theta_222_matches_direct_k23_search():
     spec = ThetaSpec(2, 2, 2)
     for g in enumerate_by_order(6):
         assert (contains_theta(g, spec) is not None) == has_k23(g)
+
+
+def _tree_plus_chords(rng, n, extra):
+    # A random spanning tree plus extra chords.
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        u, v = rng.sample(range(n), 2)
+        edges.add(tuple(sorted((u, v))))
+    return Graph(n, sorted(edges))
+
+
+def test_detector_matches_networkx_on_larger_hosts():
+    # Above the n <= 10 brute-force oracle: a monomorphism of the theta into
+    # the host is exactly a theta subgraph.
+    pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(23)
+    hosts = [book(k) for k in range(9, 13)] + [complete_bipartite(2, t) for t in range(9, 13)]
+    for _ in range(8):
+        n = rng.randint(11, 14)
+        hosts.append(_tree_plus_chords(rng, n, rng.randint(2, 8)))  # sparse
+        hosts.append(_tree_plus_chords(rng, n, rng.randint(n, 3 * n)))  # dense
+
+    for spec in (ThetaSpec(2, 2, 3), ThetaSpec(1, 2, 2), ThetaSpec(3, 3, 3)):
+        pattern = to_networkx(theta_graph(spec))
+        answers = set()
+        for g in hosts:
+            want = GraphMatcher(to_networkx(g), pattern).subgraph_is_monomorphic()
+            assert (contains_theta(g, spec) is not None) == want
+            answers.add(want)
+        assert answers == {True, False}
 
 
 def test_oracle_identity_embedding_and_guard():
