@@ -2,12 +2,28 @@
 
 Generation uses canonical augmentation: level-k graphs (k edges, minimum
 degree one) grow by one edge, either between existing vertices, to one new
-vertex, or as a fresh disjoint edge.  A child survives only when deleting
-its canonical edge (dropping vertices this isolates) regenerates the
-parent it came from, which makes every isomorphism class reachable from
-exactly one parent class; children of a single parent are deduplicated by
-certificate because equivalent augmentations of one parent pass the same
-test.  Memory stays bounded by one parent's child list per level.
+vertex, or as a fresh disjoint edge.  The canonical edge of a graph is,
+among the edges whose sorted endpoint-degree pair (min, max) is least, the
+one in the least slot of the canonical form.  A child survives only when
+deleting its canonical edge (dropping vertices this isolates) regenerates
+the parent it came from, which makes every isomorphism class reachable
+from exactly one parent class; children of a single parent are
+deduplicated by certificate because equivalent augmentations of one parent
+pass the same test.  Memory stays bounded by one parent's child list per
+level.
+
+The degree pair is checked before the canonical label (McKay, "Isomorph-
+free exhaustive generation", J. Algorithms 26, 1998): a child is dropped
+unlabelled unless its added edge carries the least pair of the child,
+computed from the parent's degrees, because only the two endpoints gain
+one.  This drops only children the deletion test would reject.  The added
+edge (a, b) gives child - (a, b) = parent, and if child - c is isomorphic
+to the parent for the canonical edge c, the two deletions leave equal
+degree sequences, which forces pair(a, b) = pair(c).  Nor is a class lost:
+if C - c is isomorphic to a kept parent P, the image of c is an
+augmentation of P with the least pair, which the twin-reduced set below
+reaches up to an automorphism of P, and that child passes the pair test
+and the deletion test.
 
 Each parent is augmented once per twin class (vertices with equal open or
 closed neighborhoods): swapping two twins is an automorphism of the parent,
@@ -98,14 +114,32 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
         yield Graph._from_rows(list(adj) + [1 << (n + 1), 1 << n]), (n, n + 1), c + 1
 
 
-def _accepts(child: Graph, parent_cert: bytes, a: int, b: int) -> bool:
-    u, v = canonical_edge(child)
-    adj = child.adj
-    # A deletion lowers just its endpoints' degrees: equal sequences iff equal pairs.
-    if (sorted((adj[u].bit_count(), adj[v].bit_count()))
-            != sorted((adj[a].bit_count(), adj[b].bit_count()))):
-        return False
-    return canonical_label(_delete_with_cleanup(child, u, v)).data == parent_cert
+def _least_pair_test(g: Graph):
+    """Predicate on an augmentation (a, b) of g: does the added edge carry
+    the least sorted degree pair of the child?
+
+    Only a and b gain one degree, and a new vertex has degree one, so an
+    edge of g can undercut the added edge only if its pair in g already
+    does; the edges are sorted by pair once and scanned up to that point.
+    """
+    n = g.n
+    deg = [row.bit_count() for row in g.adj]
+    edges = sorted(((min(deg[u], deg[v]), max(deg[u], deg[v])), u, v) for u, v in g.edges())
+
+    def least(a, b):
+        da = deg[a] + 1 if a < n else 1
+        db = deg[b] + 1 if b < n else 1
+        pair = (da, db) if da <= db else (db, da)
+        for old, u, v in edges:
+            if old >= pair:
+                break
+            du = deg[u] + (u == a or u == b)
+            dv = deg[v] + (v == a or v == b)
+            if ((du, dv) if du <= dv else (dv, du)) < pair:
+                return False
+        return True
+
+    return least
 
 
 def _subtree(g: Graph, cert: bytes, components: int, m: int,
@@ -118,12 +152,16 @@ def _subtree(g: Graph, cert: bytes, components: int, m: int,
     # Each edge still to add merges at most two components.
     max_components = m - level if connected_only else MAX_N
     seen = set()
+    least = _least_pair_test(g)
     for child, (a, b), child_components in _augmentations(g, max_components, max_order):
+        if not least(a, b):
+            continue
         ccert = canonical_label(child).data
         if ccert in seen:
             continue
         seen.add(ccert)
-        if not _accepts(child, cert, a, b):
+        u, v = canonical_edge(child)
+        if canonical_label(_delete_with_cleanup(child, u, v)).data != cert:
             continue
         # Containment is the same for every member of a class, so the theta
         # check runs last, once per accepted class instead of once per child.
@@ -262,14 +300,15 @@ def extremal_search(m: int, spec: ThetaSpec, *,
     _check_edge_budget(m, budget)
     entries = []
     for g, cert in _stream(m, True, spec):
-        entries.append((spectral_radius(g).lam, g.n, cert, g))
+        # The canonical form, not the tree's representative, so that the
+        # record depends on the class set alone.
+        h = canonical_form(g)
+        entries.append((spectral_radius(h).lam, h.n, cert, h))
     if not entries:
         raise RuntimeError(f"no {spec}-free class with {m} edges; this cannot happen for m >= 1")
     entries.sort(key=cmp_to_key(_rank))
     best = entries[0]
-    runner_ups = tuple(
-        (to_graph6(canonical_form(e[3])), e[0]) for e in entries[1:6]
-    )
+    runner_ups = tuple((to_graph6(e[3]), e[0]) for e in entries[1:6])
     return ExtremalRecord(
         m=m,
         spec=spec,

@@ -179,30 +179,6 @@ def is_theta_free(g: Graph, spec: ThetaSpec) -> bool:
     return contains_theta(g, spec) is None
 
 
-def contains_double_star(g: Graph):
-    """Witness (u, v, leaf_u, leaf_v1, leaf_v2) for the five-vertex double star.
-
-    Needs an edge uv plus one extra neighbor of u and two extra neighbors
-    of v, all five vertices distinct.  Returns None if absent.
-    """
-    if g.n < 5:
-        return None
-    for u in range(g.n):
-        au = g.adj[u]
-        if au.bit_count() < 2:
-            continue
-        for v in bit_indices(au):
-            bv = g.adj[v] & ~(1 << u)
-            if bv.bit_count() < 2:
-                continue
-            for leaf_u in bit_indices(au & ~(1 << v)):
-                rest = bv & ~(1 << leaf_u)
-                if rest.bit_count() >= 2:
-                    it = bit_indices(rest)
-                    return (u, v, leaf_u, next(it), next(it))
-    return None
-
-
 def oracle_contains_theta(g: Graph, spec: ThetaSpec) -> bool:
     """Decide containment by trying every injection of the theta vertices.
 

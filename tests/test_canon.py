@@ -84,11 +84,16 @@ def test_canonical_order_is_a_permutation():
 
 
 def test_canonical_edge_is_orbit_stable():
-    # Deleting the canonical edge gives the same class for any relabeling.
+    # Deleting the canonical edge gives the same class for any relabeling,
+    # and the edge carries the least sorted endpoint-degree pair.
     rng = random.Random(5)
-    for g in (book(4), path(6), cycle(5), Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])):
+    triangle_with_fork = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5)])
+    for g in (book(4), path(6), cycle(5), Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+              triangle_with_fork):
         u, v = canonical_edge(g)
         assert g.has_edge(u, v)
+        pairs = [tuple(sorted((g.degree(x), g.degree(y)))) for x, y in g.edges()]
+        assert tuple(sorted((g.degree(u), g.degree(v)))) == min(pairs)
         base = canonical_label(g.without_edge(u, v))
         for _ in range(20):
             h = relabeled(g, random_permutation(rng, g.n))

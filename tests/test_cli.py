@@ -67,7 +67,7 @@ def test_enumerate_stream_bytes_pinned(capsys):
     assert code == 0
     assert len(out.splitlines()) == 497
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "a6c0795ec2ff1916964de702d4adce11c818068e58e6a7f576123bced319b576"
+    assert digest == "8c6195c7d86350d62427ef160eaa2e0921cb00e5b936304beef136b03bc6e3fa"
 
 
 def test_enumerate_free_filter(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -24,12 +25,25 @@ from spectheta import (
     spectral_radius,
     star,
 )
-from spectheta.enumeration import _augmentations
+from spectheta.canon import canonical_edge
+from spectheta.enumeration import (
+    _augmentations,
+    _delete_with_cleanup,
+    _least_pair_test,
+    _subtree,
+)
 
-# Published counts of graphs with m edges and no isolated vertices, m = 1..9
-# (OEIS A000664), and of the connected ones with 8 and 9 edges (A002905).
-CLASSES_BY_EDGES = [1, 2, 5, 11, 26, 68, 177, 497, 1476]
-CONNECTED_CLASSES_BY_EDGES = {8: 227, 9: 710}
+# Published counts of graphs with m edges and no isolated vertices, m = 1..10
+# (OEIS A000664), and of the connected ones with 8 to 10 edges (A002905).
+CLASSES_BY_EDGES = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]
+CONNECTED_CLASSES_BY_EDGES = {8: 227, 9: 710, 10: 2322}
+
+# (m, connected only) -> (class count, sha256 of the sorted certificates),
+# frozen from the tree that labelled every child before its deletion test.
+CERTIFICATE_SET_DIGESTS = {
+    (8, False): (497, "b27313236a7b78e7f502fc05ea5696702d621f51f55a7fe2054df8acc76ce587"),
+    (9, True): (710, "e4235894fd39552989e633e64b4fac8a42cb4a549af2799c4c20013c398d62f4"),
+}
 
 
 def test_tiny_levels_match_hand_enumeration():
@@ -47,6 +61,14 @@ def test_class_counts():
         assert sum(1 for _ in enumerate_by_edges(m)) == want
     for m, want in CONNECTED_CLASSES_BY_EDGES.items():
         assert sum(1 for _ in enumerate_by_edges(m, True)) == want
+
+
+def test_certificate_sets_frozen():
+    # The class set, not just its size, is the same as the frozen one.
+    for (m, connected), (count, digest) in CERTIFICATE_SET_DIGESTS.items():
+        certs = sorted(canonical_label(g).data for g in enumerate_by_edges(m, connected))
+        assert len(certs) == count
+        assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
 
 
 def test_pairwise_non_isomorphic_under_networkx():
@@ -103,6 +125,33 @@ def test_twin_augmentations_keep_first_child_per_certificate():
             pendants = [c for c, (a, b), _ in got if a < g.n == b]
             assert [c for c, _, _ in _augmentations(g, MAX_N, g.n)] == non_edges
             assert [c for c, _, _ in _augmentations(g, MAX_N, g.n + 1)] == non_edges + pendants
+
+
+def test_least_pair_filter_drops_only_rejected_children():
+    # Reference tree step: label every twin-representative child, dedupe by
+    # certificate and apply the full deletion test, with no pair filter.
+    for m in range(1, 8):
+        for g in enumerate_by_edges(m):
+            cert = canonical_label(g).data
+            least = _least_pair_test(g)
+            seen = set()
+            want = []
+            for child, (a, b), _ in _augmentations(g, MAX_N, MAX_N):
+                # The pair test, computed from the parent, matches the child's degrees.
+                deg = [row.bit_count() for row in child.adj]
+                pairs = [tuple(sorted((deg[u], deg[v]))) for u, v in child.edges()]
+                assert least(a, b) == (tuple(sorted((deg[a], deg[b]))) == min(pairs))
+                u, v = canonical_edge(child)
+                accepted = canonical_label(_delete_with_cleanup(child, u, v)).data == cert
+                assert least(a, b) or not accepted
+                ccert = canonical_label(child).data
+                if ccert not in seen:
+                    seen.add(ccert)
+                    if accepted:
+                        want.append(child)
+            nodes = _subtree(g, cert, g.component_count(), m + 1, False, None, MAX_N)
+            assert next(nodes)[0] == g
+            assert [child for child, _, _ in nodes] == want
 
 
 def test_no_duplicates_and_basic_shape():

@@ -10,7 +10,6 @@ from spectheta import (
     book,
     complete,
     complete_bipartite,
-    contains_double_star,
     contains_theta,
     cycle,
     is_theta_free,
@@ -184,19 +183,3 @@ def test_oracle_identity_embedding_and_guard():
     assert oracle_contains_theta(theta_graph(spec), spec)
     with pytest.raises(ValueError):
         oracle_contains_theta(complete(11), spec)
-
-
-def test_double_star():
-    # The five-vertex double star needs a degree-3 endpoint on the central
-    # edge, so a path never contains one.
-    assert contains_double_star(path(5)) is None
-    assert contains_double_star(star(6)) is None
-    assert contains_double_star(cycle(3)) is None
-    fork = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    w = contains_double_star(fork)
-    assert w is not None
-    u, v, leaf_u, leaf_v1, leaf_v2 = w
-    assert fork.has_edge(u, v)
-    assert fork.has_edge(u, leaf_u) and fork.has_edge(v, leaf_v1) and fork.has_edge(v, leaf_v2)
-    assert len({u, v, leaf_u, leaf_v1, leaf_v2}) == 5
-    assert contains_double_star(book(3)) is not None
