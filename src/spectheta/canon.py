@@ -164,32 +164,3 @@ def canonical_form(g: Graph) -> Graph:
         rows[pos[v]] = row
     return Graph._from_rows(rows)
 
-
-def canonical_edge(g: Graph):
-    """The canonical edge, in original ids: least degree pair, then least slot.
-
-    Among the edges whose sorted endpoint-degree pair (min, max) is
-    lexicographically least, returns the one occupying the least slot of
-    the canonical form.  Both choices are isomorphism invariant, so the
-    edge is unique per class up to automorphism.  Because the pair is
-    read off the degrees alone, a generator can tell that an added edge
-    is not canonical before labelling the child.  Returns None on
-    edgeless graphs.
-    """
-    if g.m == 0:
-        return None
-    adj = g.adj
-    deg = [row.bit_count() for row in adj]
-
-    def pair(u, v):
-        return (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
-
-    least = min(pair(u, v) for u, v in g.edges())
-    order = canonical_order(g)
-    for j in range(1, g.n):
-        v = order[j]
-        for i in range(j):
-            u = order[i]
-            if (adj[v] >> u) & 1 and pair(u, v) == least:
-                return (u, v) if u < v else (v, u)
-    return None

@@ -12,9 +12,9 @@ deduplicated by certificate because equivalent augmentations of one parent
 pass the same test.  Memory stays bounded by one parent's child list per
 level.
 
-The degree pair is checked before the canonical label (McKay, "Isomorph-
-free exhaustive generation", J. Algorithms 26, 1998): a child is dropped
-unlabelled unless its added edge carries the least pair of the child,
+The degree pair is checked before the child is built (McKay, "Isomorph-
+free exhaustive generation", J. Algorithms 26, 1998): `_augmentations`
+yields an added edge only if it carries the least pair of the child,
 computed from the parent's degrees, because only the two endpoints gain
 one.  This drops only children the deletion test would reject.  The added
 edge (a, b) gives child - (a, b) = parent, and if child - c is isomorphic
@@ -30,7 +30,7 @@ closed neighborhoods): swapping two twins is an automorphism of the parent,
 so a child whose endpoints are not the least members of their classes is
 isomorphic to an earlier child that is, and no class is lost.  Component
 counts of the children come from the parent's components, so a child that
-the connected-only prune drops is never built.
+the connected-only prune drops is never built either.
 
 The same tree enumerates by order: walked with an order limit of n and no
 edge limit short of the complete graph, every node is a class on at most n
@@ -44,13 +44,7 @@ import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .canon import (
-    canonical_edge,
-    canonical_form,
-    canonical_label,
-    canonical_order,  # noqa: F401  (perfbench/tracing.py hooks this name)
-    twin_classes,
-)
+from .canon import canonical_form, canonical_label, canonical_order, twin_classes
 from .graph6 import to_graph6
 from .graphs import MAX_N, Graph, bit_indices, complete
 from .spectral import COMPARISON_TOL, bound_value, spectral_radius
@@ -72,17 +66,51 @@ def _delete_with_cleanup(g: Graph, u: int, v: int) -> Graph:
     return h.induced(keep)
 
 
-def _augmentations(g: Graph, max_components: int, max_order: int):
-    """Children of g, one per twin-class choice of endpoints.
+def canonical_edge(g: Graph):
+    """The canonical edge, in original ids: least degree pair, then least slot.
 
-    Yields (child, added edge, component count) in the order of the full
-    augmentation loop: non-edges by (u, v), pendants by u, then the fresh
-    disjoint edge.  An endpoint must be the least member of its twin class,
-    or the second least when both endpoints share a class.  Children with
-    more than max_components components or max_order vertices are skipped
-    before they are built.  A skipped twin child is the image of an earlier
-    kept child under a swap of twins, so every certificate keeps its first
-    child.
+    Among the edges whose sorted endpoint-degree pair (min, max) is
+    lexicographically least, returns the one occupying the least slot of
+    the canonical form.  Both choices are isomorphism invariant, so the
+    edge is unique per class up to automorphism.  Because the pair is
+    read off the degrees alone, `_augmentations` can tell that an added
+    edge is not canonical before the child is built.  Returns None on
+    edgeless graphs.
+    """
+    if g.m == 0:
+        return None
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+
+    def pair(u, v):
+        return (deg[u], deg[v]) if deg[u] <= deg[v] else (deg[v], deg[u])
+
+    least = min(pair(u, v) for u, v in g.edges())
+    order = canonical_order(g)
+    for j in range(1, g.n):
+        v = order[j]
+        for i in range(j):
+            u = order[i]
+            if (adj[v] >> u) & 1 and pair(u, v) == least:
+                return (u, v) if u < v else (v, u)
+
+
+def _augmentations(g: Graph, max_components: int, max_order: int):
+    """The augmentations of g worth labelling, as (a, b, component count).
+
+    Yields the added edge (a, b), with b the largest vertex of the child,
+    in the order of the full augmentation loop: non-edges by (u, v),
+    pendants by u, then the fresh disjoint edge.  An edge is kept only if
+    each endpoint is the least member of its twin class (or the second
+    least when both share a class), the child has at most max_components
+    components and max_order vertices, and the added edge carries the
+    least sorted degree pair of the child.  A skipped twin child is the
+    image of an earlier kept child under a swap of twins, so every
+    certificate that passes the pair test keeps its first child.
+
+    Only a and b gain one degree, and a new vertex has degree one, so an
+    edge of g can undercut the added edge only if its pair in g already
+    does; the edges are sorted by pair once and scanned up to that point.
     """
     n = g.n
     adj = g.adj
@@ -98,32 +126,7 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
     for mask in masks:
         for v in bit_indices(mask):
             comp[v] = mask
-    for u in bit_indices(lead):
-        later = (lead | second.get(u, 0)) & ~adj[u] & ~((2 << u) - 1)
-        for v in bit_indices(later):
-            count = c if (comp[u] >> v) & 1 else c - 1
-            if count <= max_components:
-                yield g.with_edge(u, v), (u, v), count
-    if n + 1 <= max_order and c <= max_components:
-        for u in bit_indices(lead):
-            rows = list(adj)
-            rows[u] |= 1 << n
-            rows.append(1 << u)
-            yield Graph._from_rows(rows), (u, n), c
-    if n + 2 <= max_order and c + 1 <= max_components:
-        yield Graph._from_rows(list(adj) + [1 << (n + 1), 1 << n]), (n, n + 1), c + 1
-
-
-def _least_pair_test(g: Graph):
-    """Predicate on an augmentation (a, b) of g: does the added edge carry
-    the least sorted degree pair of the child?
-
-    Only a and b gain one degree, and a new vertex has degree one, so an
-    edge of g can undercut the added edge only if its pair in g already
-    does; the edges are sorted by pair once and scanned up to that point.
-    """
-    n = g.n
-    deg = [row.bit_count() for row in g.adj]
+    deg = [row.bit_count() for row in adj]
     edges = sorted(((min(deg[u], deg[v]), max(deg[u], deg[v])), u, v) for u, v in g.edges())
 
     def least(a, b):
@@ -139,7 +142,19 @@ def _least_pair_test(g: Graph):
                 return False
         return True
 
-    return least
+    for u in bit_indices(lead):
+        later = (lead | second.get(u, 0)) & ~adj[u] & ~((2 << u) - 1)
+        for v in bit_indices(later):
+            count = c if (comp[u] >> v) & 1 else c - 1
+            if count <= max_components and least(u, v):
+                yield u, v, count
+    if n + 1 <= max_order and c <= max_components:
+        for u in bit_indices(lead):
+            if least(u, n):
+                yield u, n, c
+    # The fresh edge has the pair (1, 1), which no edge undercuts.
+    if n + 2 <= max_order and c + 1 <= max_components:
+        yield n, n + 1, c + 1
 
 
 def _subtree(g: Graph, cert: bytes, components: int, m: int,
@@ -152,10 +167,11 @@ def _subtree(g: Graph, cert: bytes, components: int, m: int,
     # Each edge still to add merges at most two components.
     max_components = m - level if connected_only else MAX_N
     seen = set()
-    least = _least_pair_test(g)
-    for child, (a, b), child_components in _augmentations(g, max_components, max_order):
-        if not least(a, b):
-            continue
+    for a, b, child_components in _augmentations(g, max_components, max_order):
+        rows = list(g.adj) + [0] * (b + 1 - g.n)
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+        child = Graph._from_rows(rows)
         ccert = canonical_label(child).data
         if ccert in seen:
             continue
@@ -253,7 +269,10 @@ def _rank(a, b):
 
 @dataclass
 class ExtremalRecord:
-    """Argmax of the spectral radius over the theta-free classes with m edges."""
+    """Argmax of the spectral radius over the theta-free classes with m edges.
+
+    best_graph is the canonical form of the argmax class.
+    """
 
     m: int
     spec: ThetaSpec
@@ -264,7 +283,7 @@ class ExtremalRecord:
 
     @property
     def best_graph6(self) -> str:
-        return to_graph6(canonical_form(self.best_graph))
+        return to_graph6(self.best_graph)
 
     def to_json(self) -> dict:
         return {

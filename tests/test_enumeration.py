@@ -1,9 +1,10 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from helpers import brute_force_class_key, graphs_on, labeled_graphs_with_edges
+from helpers import brute_force_class_key, graphs_on, labeled_graphs_with_edges, to_networkx
 
 from spectheta import (
     MAX_N,
@@ -12,6 +13,7 @@ from spectheta import (
     ThetaSpec,
     book,
     bound_value,
+    canonical_form,
     canonical_label,
     complete,
     complete_minus_edge,
@@ -20,18 +22,14 @@ from spectheta import (
     enumerate_by_order,
     extremal_search,
     extremal_table,
+    from_graph6,
     is_theta_free,
     path,
     spectral_radius,
     star,
+    to_graph6,
 )
-from spectheta.canon import canonical_edge
-from spectheta.enumeration import (
-    _augmentations,
-    _delete_with_cleanup,
-    _least_pair_test,
-    _subtree,
-)
+from spectheta.enumeration import _augmentations, _delete_with_cleanup, _subtree, canonical_edge
 
 # Published counts of graphs with m edges and no isolated vertices, m = 1..10
 # (OEIS A000664), and of the connected ones with 8 to 10 edges (A002905).
@@ -75,7 +73,7 @@ def test_pairwise_non_isomorphic_under_networkx():
     # Independent oracle for the dedupe: no two outputs with the same degree
     # sequence are isomorphic according to networkx.
     nx = pytest.importorskip("networkx")
-    for m in range(1, 8):
+    for m in range(1, 9):
         buckets = {}
         for g in enumerate_by_edges(m):
             h = nx.Graph(list(g.edges()))
@@ -108,42 +106,67 @@ def _first_per_certificate(children):
     return out
 
 
+def _carries_least_pair(child, edge):
+    # The added edge's sorted degree pair is least, from the child's own degrees.
+    deg = [row.bit_count() for row in child.adj]
+    pairs = [tuple(sorted((deg[u], deg[v]))) for u, v in child.edges()]
+    return tuple(sorted(deg[x] for x in edge)) == min(pairs)
+
+
+def _twins(g, u, v):
+    return g.adj[u] == g.adj[v] or g.adj[u] ^ g.adj[v] == (1 << u) | (1 << v)
+
+
+def _twin_lead(g, a, b):
+    # Each old endpoint is the least of its twin class, or b is second to its twin a.
+    def rank(v):
+        return sum(1 for u in range(v) if _twins(g, u, v))
+
+    if a >= g.n:
+        return True
+    if b >= g.n:
+        return rank(a) == 0
+    return rank(a) == 0 and (rank(b) == 0 or (rank(b) == 1 and _twins(g, a, b)))
+
+
 def test_twin_augmentations_keep_first_child_per_certificate():
     for n in range(1, 7):
         for g in enumerate_by_order(n):
-            want = _first_per_certificate(_all_augmentations(g))
+            full = [(c, e) for c, e in _all_augmentations(g) if _carries_least_pair(c, e)]
             got = list(_augmentations(g, MAX_N, MAX_N))
-            assert _first_per_certificate((c, e) for c, e, _ in got) == want
-            for child, (a, b), count in got:
+            # Exactly the least-pair augmentations with twin-lead endpoints, in loop order.
+            assert [(a, b) for a, b, _ in got] == [e for _, e in full if _twin_lead(g, *e)]
+            children = [(Graph(max(g.n, b + 1), list(g.edges()) + [(a, b)]), (a, b))
+                        for a, b, _ in got]
+            assert _first_per_certificate(children) == _first_per_certificate(full)
+            for (child, _), (_, _, count) in zip(children, got):
                 assert count == child.component_count()
-                assert child.without_edge(a, b).adj[:g.n] == g.adj
-            limit = g.component_count()
-            assert [c for c, _, _ in _augmentations(g, limit, MAX_N)] == [
-                c for c, _, count in got if count <= limit]
+            for limit in range(1, g.component_count() + 2):
+                assert list(_augmentations(g, limit, MAX_N)) == [t for t in got if t[2] <= limit]
             # The order limit keeps only the non-edges at g.n; g.n + 1 adds the pendants.
-            non_edges = [c for c, (_, b), _ in got if b < g.n]
-            pendants = [c for c, (a, b), _ in got if a < g.n == b]
-            assert [c for c, _, _ in _augmentations(g, MAX_N, g.n)] == non_edges
-            assert [c for c, _, _ in _augmentations(g, MAX_N, g.n + 1)] == non_edges + pendants
+            non_edges = [t for t in got if t[1] < g.n]
+            pendants = [t for t in got if t[0] < g.n == t[1]]
+            assert list(_augmentations(g, MAX_N, g.n)) == non_edges
+            assert list(_augmentations(g, MAX_N, g.n + 1)) == non_edges + pendants
 
 
 def test_least_pair_filter_drops_only_rejected_children():
-    # Reference tree step: label every twin-representative child, dedupe by
-    # certificate and apply the full deletion test, with no pair filter.
+    # Reference tree step: label every child of the full loop and apply the
+    # full deletion test, with neither the twin nor the pair filter.
     for m in range(1, 8):
         for g in enumerate_by_edges(m):
             cert = canonical_label(g).data
-            least = _least_pair_test(g)
-            seen = set()
-            want = []
-            for child, (a, b), _ in _augmentations(g, MAX_N, MAX_N):
-                # The pair test, computed from the parent, matches the child's degrees.
-                deg = [row.bit_count() for row in child.adj]
-                pairs = [tuple(sorted((deg[u], deg[v]))) for u, v in child.edges()]
-                assert least(a, b) == (tuple(sorted((deg[a], deg[b]))) == min(pairs))
+            kept = []
+            for child, edge in _all_augmentations(g):
                 u, v = canonical_edge(child)
                 accepted = canonical_label(_delete_with_cleanup(child, u, v)).data == cert
-                assert least(a, b) or not accepted
+                if _carries_least_pair(child, edge):
+                    kept.append((child, accepted))
+                else:
+                    assert not accepted
+            seen = set()
+            want = []
+            for child, accepted in kept:
                 ccert = canonical_label(child).data
                 if ccert not in seen:
                     seen.add(ccert)
@@ -231,8 +254,6 @@ def test_extremal_search_m7_includes_book3():
     rec = extremal_search(7, ThetaSpec(2, 2, 3))
     assert rec.best_lambda >= 3.0 - 1e-9
     pool = [rec.best_graph6] + [g6 for g6, _ in rec.runner_ups]
-    from spectheta import canonical_form, to_graph6
-
     assert to_graph6(canonical_form(book(3))) in pool
 
 
@@ -253,9 +274,26 @@ def test_theta_prune_keeps_every_free_class():
 
 
 def test_runner_ups_ordered():
-    rec = extremal_search(7, ThetaSpec(2, 2, 3))
-    lams = [rec.best_lambda] + [lam for _, lam in rec.runner_ups]
-    assert all(a >= b - 1e-9 for a, b in zip(lams, lams[1:]))
+    # Every record is checked against oracles that share no code with the
+    # search: numpy's eigvalsh for lambda, networkx for theta-freeness.
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    theta = nx.Graph([(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+    for m in range(3, 10):
+        rec = extremal_search(m, ThetaSpec(2, 2, 3))
+        assert canonical_form(rec.best_graph) == rec.best_graph
+        records = [(rec.best_graph6, rec.best_lambda)] + list(rec.runner_ups)
+        lams = [lam for _, lam in records]
+        assert all(a >= b - 1e-9 for a, b in zip(lams, lams[1:]))
+        assert len({g6 for g6, _ in records}) == len(records)
+        for g6, lam in records:
+            g = from_graph6(g6)
+            assert g.m == m and g.is_connected()
+            want = np.linalg.eigvalsh(np.array(
+                [[(row >> j) & 1 for j in range(g.n)] for row in g.adj], dtype=float))[-1]
+            assert abs(lam - want) <= 1e-9 * max(1.0, lam)
+            assert not GraphMatcher(to_networkx(g), theta).subgraph_is_monomorphic()
 
 
 def test_record_json_deterministic():
