@@ -9,6 +9,14 @@ neighborhoods are swapped by an automorphism, so the skipped branches
 cannot improve the minimum).  The whole-graph certificate concatenates the
 component certificates in sorted order, which makes disjoint unions of
 many small components cheap instead of catastrophically symmetric.
+
+Two bounded caches keep the generation tree from labelling twice what it
+has labelled once.  `_canonical_pieces` is keyed on the whole `Graph` (its
+vertex count and adjacency rows).  `_component_canonical` is keyed on one
+component's local adjacency rows and its order k, so a child that keeps a
+component of its parent row for row reuses that component's search.  Both
+outputs are pure functions of their keys, so neither cache can change a
+certificate or an order.
 """
 
 from __future__ import annotations
@@ -73,12 +81,14 @@ def twin_classes(adj, vertices) -> list[list[int]]:
     return classes
 
 
-def _component_canonical(adj, k):
+@lru_cache(maxsize=65536)
+def _component_canonical(adj: tuple[int, ...], k: int):
     """Least adjacency bit string over refinement-compatible orderings.
 
-    Returns (bits, order): bits is the upper triangle packed column-major
-    into an int of k*(k-1)/2 bits, order maps canonical positions to local
-    vertex ids.
+    adj holds the k local rows of one connected component.  Returns
+    (bits, order): bits is the upper triangle packed column-major into an
+    int of k*(k-1)/2 bits, order maps canonical positions to local vertex
+    ids.
     """
     total_bits = k * (k - 1) // 2
     best_bits = None
@@ -124,17 +134,22 @@ def _canonical_pieces(g: Graph):
     pieces = []
     for comp in g.components():
         k = len(comp)
-        pos = {v: i for i, v in enumerate(comp)}
-        local = [0] * k
-        for i, v in enumerate(comp):
-            row = 0
-            for w in bit_indices(g.adj[v]):
-                row |= 1 << pos[w]
-            local[i] = row
-        bits, order = _component_canonical(local, k)
+        if k == g.n:
+            # One component spans the graph, so its local rows are g's own.
+            bits, order = _component_canonical(g.adj, k)
+        else:
+            pos = {v: i for i, v in enumerate(comp)}
+            local = [0] * k
+            for i, v in enumerate(comp):
+                row = 0
+                for w in bit_indices(g.adj[v]):
+                    row |= 1 << pos[w]
+                local[i] = row
+            bits, local_order = _component_canonical(tuple(local), k)
+            order = tuple(comp[i] for i in local_order)
         nbytes = (k * (k - 1) // 2 + 7) // 8
         cert = k.to_bytes(2, "big") + bits.to_bytes(nbytes, "big")
-        pieces.append((cert, tuple(comp[i] for i in order)))
+        pieces.append((cert, order))
     pieces.sort(key=lambda piece: piece[0])
     return tuple(pieces)
 

@@ -6,7 +6,8 @@ one per line on stdin, so subcommands compose through pipes.  Exit codes:
 the package cannot answer (an eigenpair that misses the residual target),
 3 the enumeration budget guard tripped.  A bad graph6 line on stdin stops
 the stream: earlier lines keep their output, the error goes to stderr and
-the exit code is 2.
+the exit code is 2.  A reader that closes stdout early (`| head -1`)
+ends the run quietly with exit code 2; whatever was not written is lost.
 """
 
 from __future__ import annotations
@@ -274,7 +275,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush inside the try, so a reader that closed the pipe early is
+        # caught here and not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

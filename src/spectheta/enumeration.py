@@ -9,8 +9,10 @@ deleting its canonical edge (dropping vertices this isolates) regenerates
 the parent it came from, which makes every isomorphism class reachable
 from exactly one parent class; children of a single parent are
 deduplicated by certificate because equivalent augmentations of one parent
-pass the same test.  Memory stays bounded by one parent's child list per
-level.
+pass the same test.  A child whose canonical edge is the added edge is
+accepted without a deletion label, because deleting that edge drops
+exactly the new pendant or fresh-edge vertices and gives back the parent
+row for row.  Memory stays bounded by one parent's child list per level.
 
 The degree pair is checked before the child is built (McKay, "Isomorph-
 free exhaustive generation", J. Algorithms 26, 1998): `_augmentations`
@@ -176,8 +178,10 @@ def _subtree(g: Graph, cert: bytes, components: int, m: int,
         if ccert in seen:
             continue
         seen.add(ccert)
+        # Deleting the added edge itself gives back g row for row, whose
+        # certificate is cert.
         u, v = canonical_edge(child)
-        if canonical_label(_delete_with_cleanup(child, u, v)).data != cert:
+        if (u, v) != (a, b) and canonical_label(_delete_with_cleanup(child, u, v)).data != cert:
             continue
         # Containment is the same for every member of a class, so the theta
         # check runs last, once per accepted class instead of once per child.

@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spectheta
 from spectheta import book, complete, complete_bipartite, to_graph6
 from spectheta.cli import main
 
@@ -205,6 +209,25 @@ def test_convergence_error_exits_2(capsys, monkeypatch):
     assert code == 2
     assert json.loads(out)["graph6"] == "Bw"
     assert err.startswith("error: eigenpair residual ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # A reader that stops after one line (`| head -1`).  At m=9 the stream
+    # is about 18 KB, so writes still follow the first 4 KB block when the
+    # pipe is closed.
+    src = os.path.dirname(os.path.dirname(spectheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spectheta.cli", "enumerate", "--edges", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert first.strip()
+    assert b"Traceback" not in err
 
 
 def test_nosal(capsys):
