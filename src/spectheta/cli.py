@@ -26,15 +26,13 @@ from .enumeration import (
 )
 from .graph6 import from_graph6, to_graph6
 from .graphs import family
-from .spectral import ConvergenceError, check_nosal, spectral_radius
+from .spectral import COMPARISON_TOL, ConvergenceError, check_nosal, spectral_radius
 from .theta import ThetaSpec, contains_theta
 from .verify import verify_theorem_instance
 
-BUDGET_ENV_VAR = "SPECTHETA_EDGE_BUDGET"
-
 _EPILOG = (
     f"The enumeration budget defaults to {DEFAULT_EDGE_BUDGET} edges; override it "
-    f"with --limit or the {BUDGET_ENV_VAR} environment variable."
+    "with --limit."
 )
 
 
@@ -45,15 +43,13 @@ def _spec_arg(text: str) -> ThetaSpec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _range_arg(text: str) -> list[int]:
+def _range_arg(text: str) -> range:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, hi = text.split("..") if ".." in text else (text, text)
+        lo, hi = int(lo), int(hi)
+        if hi < lo:
+            raise ValueError
+        return range(lo, hi + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected M or A..B, got {text!r}")
 
@@ -79,19 +75,20 @@ def _build_parser():
     p.add_argument("--connected", action="store_true")
     p.add_argument("--free", type=_spec_arg, metavar="R,P,Q",
                    help="keep only graphs free of this theta")
-    p.add_argument("--limit", type=int, help="override the edge budget guard")
+    p.add_argument("--limit", type=int, default=DEFAULT_EDGE_BUDGET,
+                   help="override the edge budget guard")
 
     p = sub.add_parser("search", help="extremal record over theta-free classes")
     p.add_argument("--edges", type=int, required=True, metavar="M")
     p.add_argument("--spec", type=_spec_arg, required=True, metavar="R,P,Q")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=int, default=DEFAULT_EDGE_BUDGET)
 
     p = sub.add_parser("table", help="best lambda against the closed-form bound per m")
     p.add_argument("--edges", type=_range_arg, required=True, metavar="A..B")
     p.add_argument("--spec", type=_spec_arg, required=True, metavar="R,P,Q")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=int, default=DEFAULT_EDGE_BUDGET)
 
     p = sub.add_parser("family", help="print a named family member as graph6")
     p.add_argument("name", choices=[
@@ -125,18 +122,6 @@ def _input_graphs(args):
             yield from_graph6(line)
 
 
-def _edge_budget(args) -> int:
-    if getattr(args, "limit", None) is not None:
-        return args.limit
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_EDGE_BUDGET
-
-
 def _cmd_radius(args) -> int:
     for g in _input_graphs(args):
         res = spectral_radius(g)
@@ -159,13 +144,13 @@ def _cmd_free(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     for g in enumerate_by_edges(args.edges, args.connected, free=args.free,
-                                budget=_edge_budget(args)):
+                                budget=args.limit):
         print(to_graph6(g))
     return 0
 
 
 def _cmd_search(args) -> int:
-    rec = extremal_search(args.edges, args.spec, budget=_edge_budget(args))
+    rec = extremal_search(args.edges, args.spec, budget=args.limit)
     if args.json:
         print(rec.to_json_str())
     else:
@@ -177,7 +162,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = extremal_table(args.edges, args.spec, budget=_edge_budget(args))
+    rows = extremal_table(args.edges, args.spec, budget=args.limit)
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
@@ -229,7 +214,8 @@ def _cmd_verify(args) -> int:
             )
         ok = cert["theta_free"]
         if ok and cert["lambda"] is not None and cert["bound"] is not None:
-            ok = cert["lambda"] <= cert["bound"] + 1e-9 or cert["equality_case"]["claimed"]
+            ok = (cert["lambda"] <= cert["bound"] + COMPARISON_TOL
+                  or cert["equality_case"]["claimed"])
         if ok and cert["equality_case"]["claimed"]:
             ok = cert["equality_case"]["iso_to_book"]
         if not ok:

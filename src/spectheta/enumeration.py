@@ -346,9 +346,14 @@ def extremal_table(m_list, spec: ThetaSpec, *,
                    budget: int = DEFAULT_EDGE_BUDGET) -> list[dict]:
     """Rows comparing the searched maximum against the closed-form bound.
 
-    The gap may be negative for small m; the closed form is only claimed
-    from a much larger size onward, so small-m rows are empirical data.
+    m_list is a sequence of edge counts; every one is checked against the
+    budget before the first search, and the check stops at the first m
+    that fails, so a huge range costs nothing.  The gap may be negative
+    for small m; the closed form is only claimed from a much larger size
+    onward, so small-m rows are empirical data.
     """
+    for m in m_list:
+        _check_edge_budget(m, budget)
     rows = []
     for m in m_list:
         rec = extremal_search(m, spec, budget=budget)

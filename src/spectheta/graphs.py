@@ -13,6 +13,11 @@ def bit_indices(mask: int):
         mask ^= low
 
 
+def _check_order(n) -> None:
+    if not isinstance(n, int) or not 0 <= n <= MAX_N:
+        raise ValueError(f"vertex count must lie in 0..{MAX_N}, got {n!r}")
+
+
 def vertex_mask(vertices) -> int:
     """Bitmask with a bit set for every vertex id in the iterable."""
     m = 0
@@ -32,8 +37,7 @@ class Graph:
     __slots__ = ("n", "adj", "m")
 
     def __init__(self, n: int, edges=()):
-        if not isinstance(n, int) or not 0 <= n <= MAX_N:
-            raise ValueError(f"vertex count must lie in 0..{MAX_N}, got {n!r}")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -181,12 +185,16 @@ class Graph:
 
 
 # -- named families -------------------------------------------------------
+#
+# Each builder checks its order with _check_order before it builds the edge
+# list, which for an order far beyond MAX_N would exhaust memory first.
 
 
 def book(k: int) -> Graph:
     """Two adjacent hubs (vertices 0 and 1) joined to k independent pages."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"book needs at least one page, got k={k!r}")
+    _check_order(k + 2)
     edges = [(0, 1)]
     for p in range(2, k + 2):
         edges.append((0, p))
@@ -198,6 +206,7 @@ def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to n-1 leaves."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"star needs n >= 1, got {n!r}")
+    _check_order(n)
     return Graph(n, [(0, v) for v in range(1, n)])
 
 
@@ -205,18 +214,21 @@ def star_plus_edge(n: int) -> Graph:
     """Star on n vertices with one extra edge between two leaves."""
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"star_plus_edge needs n >= 3, got {n!r}")
+    _check_order(n)
     return Graph(n, [(0, v) for v in range(1, n)] + [(1, 2)])
 
 
 def complete(n: int) -> Graph:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"complete needs n >= 1, got {n!r}")
+    _check_order(n)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_minus_edge(n: int) -> Graph:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"complete_minus_edge needs n >= 2, got {n!r}")
+    _check_order(n)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
     return Graph(n, edges)
 
@@ -224,18 +236,21 @@ def complete_minus_edge(n: int) -> Graph:
 def complete_bipartite(s: int, t: int) -> Graph:
     if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
         raise ValueError(f"complete_bipartite needs s, t >= 1, got {s!r}, {t!r}")
+    _check_order(s + t)
     return Graph(s + t, [(u, s + v) for u in range(s) for v in range(t)])
 
 
 def path(n: int) -> Graph:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"path needs n >= 1, got {n!r}")
+    _check_order(n)
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n!r}")
+    _check_order(n)
     return Graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 

@@ -213,92 +213,53 @@ def check_lemma_conclusions(g: Graph, report: DecompositionReport,
 
 def _lemma_checklist(g: Graph, report: DecompositionReport) -> LemmaChecklist:
     # check_lemma_conclusions without its precondition checks, for callers
-    # that already know g is connected and (2,2,3)-free.
+    # that already know g is connected and (2,2,3)-free.  Each entry is the
+    # first witness against it, and it holds exactly when there is none.
     umask = vertex_mask(report.U)
-    entries = []
+    wmask = vertex_mask(report.W)
 
-    holds = True
-    witness = None
-    for w in report.W:
-        if g.degree(w) < 2:
-            holds, witness = False, {"vertex": w, "degree": g.degree(w)}
-            break
-    entries.append(ChecklistEntry(
-        "min_degree_outside_ball",
-        "every vertex outside the closed neighborhood of the extremal vertex has degree >= 2",
-        holds, witness))
+    def d_u(v):
+        return (g.adj[v] & umask).bit_count()
+
+    def first_component(is_bad):
+        return next(({"component": list(c.vertices), "class": c.cls.label()}
+                     for c in report.components if is_bad(c.cls)), None)
 
     long_cycle_comps = [c for c in report.components
                         if has_long_cycle(g.induced(c.vertices))]
-
-    holds = True
-    witness = None
-    for comp in long_cycle_comps:
-        for w in comp.w_neighbors:
-            du = (g.adj[w] & umask).bit_count()
-            if du > 2:
-                holds = False
-                witness = {"component": list(comp.vertices), "w_vertex": w, "d_U": du}
-                break
-        if not holds:
-            break
-    entries.append(ChecklistEntry(
-        "w_degree_cap_near_long_cycles",
-        "outside neighbors of a neighborhood component that contains a cycle of "
-        "length >= 4 send at most 2 edges into the neighborhood "
-        "(vacuous when no such component exists)",
-        holds, witness))
-
-    holds = not long_cycle_comps
-    witness = {"component": list(long_cycle_comps[0].vertices)} if long_cycle_comps else None
-    entries.append(ChecklistEntry(
-        "no_long_cycle_in_neighborhood",
-        "no component of the neighborhood subgraph contains a cycle of length >= 4",
-        holds, witness))
-
-    w_edges = report.ledger["eW"]
-    witness = None
-    if w_edges:
-        wmask = vertex_mask(report.W)
-        for u in report.W:
-            inner = g.adj[u] & wmask
-            if inner:
-                witness = {"edge": [u, next(bit_indices(inner))]}
-                break
-    entries.append(ChecklistEntry(
-        "no_edges_outside_ball",
-        "the set outside the closed neighborhood of the extremal vertex spans no edge",
-        w_edges == 0, witness))
-
-    for kind, entry_id, text in (
-        ("star_plus_edge", "no_star_plus_edge_component",
-         "no neighborhood component is a star with one extra edge"),
-        ("cycle3", "no_triangle_component",
-         "no neighborhood component is a triangle"),
-        ("path", "no_long_path_component",
-         "no neighborhood component is a path on >= 4 vertices"),
-    ):
-        bad = None
-        for comp in report.components:
-            if kind == "cycle3":
-                hit = comp.cls.kind == "cycle" and comp.cls.size == 3
-            else:
-                hit = comp.cls.kind == kind
-            if hit:
-                bad = comp
-                break
-        entries.append(ChecklistEntry(
-            entry_id, text, bad is None,
-            None if bad is None else {"component": list(bad.vertices), "class": bad.cls.label()}))
-
-    bad = next((c for c in report.components if c.cls.kind != "star"), None)
-    entries.append(ChecklistEntry(
-        "neighborhood_components_all_stars",
-        "every nontrivial component of the neighborhood subgraph is a star",
-        bad is None,
-        None if bad is None else {"component": list(bad.vertices), "class": bad.cls.label()}))
-
-    return LemmaChecklist(tuple(entries))
+    entries = (
+        ("min_degree_outside_ball",
+         "every vertex outside the closed neighborhood of the extremal vertex has degree >= 2",
+         next(({"vertex": w, "degree": g.degree(w)} for w in report.W if g.degree(w) < 2),
+              None)),
+        ("w_degree_cap_near_long_cycles",
+         "outside neighbors of a neighborhood component that contains a cycle of "
+         "length >= 4 send at most 2 edges into the neighborhood "
+         "(vacuous when no such component exists)",
+         next(({"component": list(c.vertices), "w_vertex": w, "d_U": d_u(w)}
+               for c in long_cycle_comps for w in c.w_neighbors if d_u(w) > 2), None)),
+        ("no_long_cycle_in_neighborhood",
+         "no component of the neighborhood subgraph contains a cycle of length >= 4",
+         next(({"component": list(c.vertices)} for c in long_cycle_comps), None)),
+        ("no_edges_outside_ball",
+         "the set outside the closed neighborhood of the extremal vertex spans no edge",
+         next(({"edge": [u, v]} for u in report.W for v in bit_indices(g.adj[u] & wmask)),
+              None)),
+        ("no_star_plus_edge_component",
+         "no neighborhood component is a star with one extra edge",
+         first_component(lambda cls: cls.kind == "star_plus_edge")),
+        ("no_triangle_component",
+         "no neighborhood component is a triangle",
+         first_component(lambda cls: cls == ComponentClass("cycle", 3))),
+        ("no_long_path_component",
+         "no neighborhood component is a path on >= 4 vertices",
+         first_component(lambda cls: cls.kind == "path")),
+        ("neighborhood_components_all_stars",
+         "every nontrivial component of the neighborhood subgraph is a star",
+         first_component(lambda cls: cls.kind != "star")),
+    )
+    return LemmaChecklist(tuple(ChecklistEntry(entry_id, text, witness is None, witness)
+                                for entry_id, text, witness in entries))
 
 
 def inequality_one_check(g: Graph, report: DecompositionReport,
@@ -361,52 +322,35 @@ def verify_theorem_instance(g: Graph, spec: ThetaSpec = _FREENESS_SPEC) -> dict:
     """Full certificate: freeness, spectral radius against the closed-form
     bound, and the structure checks, with every skip recorded as null.
 
-    The lemma checklist is recorded only for connected (2,2,3)-free
-    graphs, whatever spec the freeness test uses.
+    The structure keys are filled only for connected spec-free graphs, and
+    the lemma checklist only when such a graph is also (2,2,3)-free,
+    whatever spec the freeness test uses.
     """
-    cert: dict = {"graph6": to_graph6(g), "m": g.m}
     witness = contains_theta(g, spec)
     free = witness is None
-    cert["lambda"] = None
-    cert["bound"] = bound_value(g.m) if g.m >= 1 else None
-    cert["theta_free"] = free
-    if not free:
-        cert["witness"] = witness.to_json()
-        cert["ustar"] = None
-        cert["ledger"] = None
-        cert["components"] = None
-        cert["lemmas"] = None
-        cert["inequality1"] = None
-        cert["equality_case"] = {"claimed": False, "iso_to_book": False}
-        return cert
-    connected = g.is_connected()
+    connected = free and g.is_connected()
+    lam = None
     if connected:
         res = spectral_radius(g)
         lam = res.lam
         report = decompose(g, res)
-        # The lemmas are stated for (2,2,3)-free graphs; under that spec the
-        # freeness search above has already answered.
-        free_223 = spec == _FREENESS_SPEC or contains_theta(g, _FREENESS_SPEC) is None
-        cert["lambda"] = lam
-        cert["ustar"] = report.ustar
-        cert["ledger"] = report.ledger
-        cert["components"] = [
-            {"vertices": list(c.vertices), "class": c.cls.label()} for c in report.components
-        ]
-        cert["lemmas"] = _lemma_checklist(g, report).to_json() if free_223 else None
-        cert["inequality1"] = inequality_one_check(g, report, res)
-    else:
+    elif free:
         lam = max((spectral_radius(g.induced(c)).lam for c in g.components()), default=None)
-        cert["lambda"] = lam
-        cert["ustar"] = None
-        cert["ledger"] = None
-        cert["components"] = None
-        cert["lemmas"] = None
-        cert["inequality1"] = None
-    claimed = (
-        lam is not None
-        and cert["bound"] is not None
-        and abs(lam - cert["bound"]) <= COMPARISON_TOL
-    )
-    cert["equality_case"] = {"claimed": claimed, "iso_to_book": is_book(g) if claimed else False}
+    bound = bound_value(g.m) if g.m >= 1 else None
+    cert: dict = {"graph6": to_graph6(g), "m": g.m, "lambda": lam, "bound": bound,
+                  "theta_free": free}
+    if not free:
+        cert["witness"] = witness.to_json()
+    cert["ustar"] = report.ustar if connected else None
+    cert["ledger"] = report.ledger if connected else None
+    cert["components"] = [
+        {"vertices": list(c.vertices), "class": c.cls.label()} for c in report.components
+    ] if connected else None
+    # The lemmas are stated for (2,2,3)-free graphs; under that spec the
+    # freeness search above has already answered.
+    free_223 = connected and (spec == _FREENESS_SPEC or contains_theta(g, _FREENESS_SPEC) is None)
+    cert["lemmas"] = _lemma_checklist(g, report).to_json() if free_223 else None
+    cert["inequality1"] = inequality_one_check(g, report, res) if connected else None
+    claimed = lam is not None and bound is not None and abs(lam - bound) <= COMPARISON_TOL
+    cert["equality_case"] = {"claimed": claimed, "iso_to_book": claimed and is_book(g)}
     return cert

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -100,16 +101,50 @@ def test_budget_guard_exit_3(capsys):
     assert "budget" in err
 
 
-def test_budget_env_override(capsys, monkeypatch):
+def test_budget_limit_flag(capsys, monkeypatch):
+    for argv in (["enumerate", "--edges", "3"],
+                 ["search", "--edges", "3", "--spec", "2,2,3"],
+                 ["table", "--edges", "3", "--spec", "2,2,3"]):
+        code, out, err = run_cli(capsys, argv + ["--limit", "2"])
+        assert code == 3 and out == "" and "budget 2" in err
+        code, out, _ = run_cli(capsys, argv + ["--limit", "3"])
+        assert code == 0 and out
+    # The budget is a flag only; the environment does not lower it.
     monkeypatch.setenv("SPECTHETA_EDGE_BUDGET", "2")
-    code, _, err = run_cli(capsys, ["enumerate", "--edges", "3"])
-    assert code == 3
-    code, out, _ = run_cli(capsys, ["enumerate", "--edges", "3", "--limit", "3"])
+    code, out, _ = run_cli(capsys, ["enumerate", "--edges", "3"])
     assert code == 0 and out
-    monkeypatch.setenv("SPECTHETA_EDGE_BUDGET", "abc")
-    code, _, err = run_cli(capsys, ["enumerate", "--edges", "5"])
-    assert code == 2
-    assert "SPECTHETA_EDGE_BUDGET" in err and "'abc'" in err
+
+
+def test_table_checks_budget_before_searching(capsys, monkeypatch):
+    calls = []
+
+    def spy(m, *args, **kwargs):
+        calls.append(m)
+        raise AssertionError(f"searched m={m} before the budget check")
+
+    monkeypatch.setattr("spectheta.enumeration.extremal_search", spy)
+    code, out, err = run_cli(capsys, ["table", "--edges", "3..13", "--spec", "2,2,3"])
+    assert code == 3 and out == "" and "edge count 13" in err
+    assert calls == []
+
+
+def test_oversized_inputs_fail_before_allocating():
+    # Each call runs in a child whose address space is capped at 512 MiB,
+    # so an input that allocates without bound fails fast instead of
+    # exhausting the machine.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = os.path.dirname(os.path.dirname(spectheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    for argv, want in ((["family", "complete", "--n", "20000"], 2),
+                       (["family", "book", "--k", "100000000"], 2),
+                       (["table", "--edges", "1..100000000000", "--spec", "2,2,3"], 3)):
+        proc = subprocess.run([sys.executable, "-m", "spectheta.cli"] + argv, env=env,
+                              preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_search_json_golden(capsys):
@@ -243,3 +278,42 @@ def test_family_usage_error(capsys):
     code, _, err = run_cli(capsys, ["family", "book"])
     assert code == 2
     assert "needs --k" in err
+
+
+def _rounded(value):
+    # Floats to 9 decimals, so the pin survives last-bit eigensolver noise.
+    if isinstance(value, float):
+        return round(value, 9)
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return value
+
+
+def test_verify_output_pinned(capsys):
+    # Any change to the certificate's keys, key order, values or human
+    # lines changes these digests.
+    from spectheta import Graph, cycle, path, star
+
+    k4_pendant = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    graphs = [to_graph6(g) for g in (book(1), book(3), book(28), star(58), complete(6),
+                                     cycle(6), path(5), k4_pendant, two_triangles)]
+    graphs += ["?", "@"]
+    cases = [(g6, spec) for spec in ("2,2,3", "3,3,3") for g6 in graphs]
+    cases.append((to_graph6(complete_bipartite(2, 3)), "2,2,2"))
+    json_codes, json_text, human_codes, human_text = [], [], [], []
+    for g6, spec in cases:
+        code, out, _ = run_cli(capsys, ["verify", "--spec", spec, "--json", g6])
+        json_codes.append(code)
+        json_text.append(json.dumps(_rounded(json.loads(out)), indent=2))
+        code, out, _ = run_cli(capsys, ["verify", "--spec", spec, g6])
+        human_codes.append(code)
+        human_text.append(out)
+    want_codes = [0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0] + [0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0] + [1]
+    assert json_codes == human_codes == want_codes
+    json_digest = hashlib.sha256("\n".join(json_text).encode()).hexdigest()
+    human_digest = hashlib.sha256("".join(human_text).encode()).hexdigest()
+    assert json_digest == "799e64003abe549f3bece880d5828445767870c8e929c8b295739d29b4c3325f"
+    assert human_digest == "91c1955d9e9ef26336233b6fc7e803245ce159a97a424652cbf93a986a3ab672"
