@@ -25,10 +25,13 @@ from .enumeration import (
     extremal_table,
 )
 from .graph6 import from_graph6, to_graph6
-from .graphs import family
+from .graphs import FAMILIES, family
 from .spectral import COMPARISON_TOL, ConvergenceError, check_nosal, spectral_radius
 from .theta import ThetaSpec, contains_theta
 from .verify import verify_theorem_instance
+
+# The flags each family reads, in builder-argument order; the rest take --n.
+_FAMILY_FLAGS = {"book": ("k",), "complete_bipartite": ("s", "t")}
 
 _EPILOG = (
     f"The enumeration budget defaults to {DEFAULT_EDGE_BUDGET} edges; override it "
@@ -91,10 +94,7 @@ def _build_parser():
     p.add_argument("--limit", type=int, default=DEFAULT_EDGE_BUDGET)
 
     p = sub.add_parser("family", help="print a named family member as graph6")
-    p.add_argument("name", choices=[
-        "book", "star", "star_plus_edge", "complete", "complete_minus_edge",
-        "complete_bipartite", "path", "cycle",
-    ])
+    p.add_argument("name", choices=list(FAMILIES))
     p.add_argument("--k", type=int, help="page count for book")
     p.add_argument("--n", type=int, help="vertex count")
     p.add_argument("--s", type=int, help="first part size for complete_bipartite")
@@ -176,19 +176,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    if args.name == "book":
-        if args.k is None:
-            raise ValueError("family book needs --k")
-        g = family("book", args.k)
-    elif args.name == "complete_bipartite":
-        if args.s is None or args.t is None:
-            raise ValueError("family complete_bipartite needs --s and --t")
-        g = family("complete_bipartite", args.s, args.t)
-    else:
-        if args.n is None:
-            raise ValueError(f"family {args.name} needs --n")
-        g = family(args.name, args.n)
-    print(to_graph6(g))
+    flags = _FAMILY_FLAGS.get(args.name, ("n",))
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        raise ValueError(f"family {args.name} needs " + " and ".join(f"--{f}" for f in flags))
+    print(to_graph6(family(args.name, *values)))
     return 0
 
 

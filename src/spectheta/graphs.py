@@ -254,7 +254,7 @@ def cycle(n: int) -> Graph:
     return Graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
-_FAMILIES = {
+FAMILIES = {
     "book": book,
     "star": star,
     "star_plus_edge": star_plus_edge,
@@ -269,7 +269,7 @@ _FAMILIES = {
 def family(name: str, *params: int) -> Graph:
     """Build a named family member, e.g. family("book", 3) or family("complete_bipartite", 2, 4)."""
     try:
-        builder = _FAMILIES[name]
+        builder = FAMILIES[name]
     except KeyError:
-        raise ValueError(f"unknown family {name!r}; choose from {sorted(_FAMILIES)}") from None
+        raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}") from None
     return builder(*params)

@@ -91,12 +91,8 @@ def bound_value(m: int) -> float:
 
 
 def triangle_free(g: Graph) -> bool:
-    for u in range(g.n):
-        row = g.adj[u]
-        for v in bit_indices(row >> (u + 1)):
-            if row & g.adj[u + 1 + v]:
-                return False
-    return True
+    """Whether no edge has a common neighbour of its two ends."""
+    return not any(g.adj[u] & g.adj[v] for u, v in g.edges())
 
 
 def _complete_bipartite_parts(g: Graph):

@@ -126,48 +126,21 @@ def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> Decomp
     )
 
 
-def _blocks(h: Graph) -> list[set[int]]:
-    # Biconnected blocks via the classic edge-stack depth-first search.
-    disc = [0] * h.n
-    low = [0] * h.n
-    stack: list[tuple[int, int]] = []
-    blocks: list[set[int]] = []
-    timer = [1]
-
-    def dfs(u, parent):
-        disc[u] = low[u] = timer[0]
-        timer[0] += 1
-        for v in h.neighbors(u):
-            if disc[v] == 0:
-                stack.append((u, v))
-                dfs(v, u)
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    verts = set()
-                    while True:
-                        e = stack.pop()
-                        verts.update(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(verts)
-            elif v != parent and disc[v] < disc[u]:
-                stack.append((u, v))
-                low[u] = min(low[u], disc[v])
-
-    for s in range(h.n):
-        if disc[s] == 0:
-            dfs(s, -1)
-    return blocks
-
-
 def has_long_cycle(h: Graph) -> bool:
     """Whether h contains a cycle of length at least four as a subgraph.
 
-    Equivalent to having a biconnected block on four or more vertices: a
-    2-connected graph that large always closes a cycle longer than a
-    triangle.
+    h has no such cycle exactly when every edge lies in at most one
+    triangle and the triangle count equals the cycle rank m - n + c.  If
+    every cycle is a triangle, each block is an edge or a triangle, so the
+    triangles are edge-disjoint and one per unit of cycle rank.
+    Conversely, edge-disjoint triangles are independent in the cycle
+    space, so with rank-many of them they span it: every cycle is a sum,
+    hence a disjoint union, of whole triangles, and a cycle that contains
+    a whole triangle is that triangle.
     """
-    return any(len(b) >= 4 for b in _blocks(h))
+    adj = h.adj
+    tri = [(adj[u] & adj[v]).bit_count() for u, v in h.edges()]
+    return max(tri, default=0) > 1 or sum(tri) // 3 != h.m - h.n + h.component_count()
 
 
 @dataclass(frozen=True)
@@ -292,30 +265,13 @@ def inequality_one_check(g: Graph, report: DecompositionReport,
 
 
 def is_book(g: Graph) -> bool:
-    """Structural test for two adjacent hubs joined to (m-1)/2 independent pages.
+    """Whether g is two adjacent hubs joined to (m - 1)/2 independent pages.
 
-    Runs in linear time off the degree profile instead of generic
-    isomorphism; the three-vertex case is the triangle, where hubs and
-    pages are not distinguishable by degree.
+    That is m = 2n - 3 with two vertices adjacent to all others: two such
+    hubs already carry 2(n - 1) - 1 = 2n - 3 edges, so no other edge
+    exists.  With n = 2 this is the zero-page book, K2.
     """
-    m = g.m
-    if m < 1 or m % 2 == 0:
-        return False
-    k = (m - 1) // 2
-    if g.n != k + 2:
-        return False
-    if k == 1:
-        return True  # n = 3 with 3 edges is the triangle
-    hubs = [v for v in range(g.n) if g.degree(v) == k + 1]
-    if len(hubs) != 2 or not g.has_edge(hubs[0], hubs[1]):
-        return False
-    hub_mask = (1 << hubs[0]) | (1 << hubs[1])
-    for v in range(g.n):
-        if v in hubs:
-            continue
-        if g.adj[v] != hub_mask:
-            return False
-    return True
+    return g.m == 2 * g.n - 3 and sum(r.bit_count() == g.n - 1 for r in g.adj) >= 2
 
 
 def verify_theorem_instance(g: Graph, spec: ThetaSpec = _FREENESS_SPEC) -> dict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from spectheta import Graph
+from spectheta import Graph, book, complete
 
 
 def relabeled(g: Graph, perm) -> Graph:
@@ -20,6 +20,30 @@ def to_networkx(g: Graph):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
+
+
+def oracle_has_long_cycle(g: Graph) -> bool:
+    """networkx oracle: some biconnected block has four or more vertices."""
+    import networkx as nx
+
+    return any(len(b) >= 4 for b in nx.biconnected_components(to_networkx(g)))
+
+
+def oracle_is_book(g: Graph) -> bool:
+    """networkx oracle: isomorphic to book((m - 1) / 2), or to K2 when m = 1."""
+    import networkx as nx
+
+    if g.m % 2 == 0:
+        return False
+    k = (g.m - 1) // 2
+    return nx.is_isomorphic(to_networkx(g), to_networkx(book(k) if k else complete(2)))
+
+
+def oracle_triangle_free(g: Graph) -> bool:
+    """networkx oracle: no vertex lies in a triangle."""
+    import networkx as nx
+
+    return not any(nx.triangles(to_networkx(g)).values())
 
 
 def random_permutation(rng, n):

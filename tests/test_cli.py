@@ -275,9 +275,13 @@ def test_nosal(capsys):
 
 
 def test_family_usage_error(capsys):
-    code, _, err = run_cli(capsys, ["family", "book"])
-    assert code == 2
-    assert "needs --k" in err
+    for argv, message in ((["family", "book"], "family book needs --k"),
+                          (["family", "complete_bipartite", "--s", "2"],
+                           "family complete_bipartite needs --s and --t"),
+                          (["family", "star"], "family star needs --n")):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def _rounded(value):

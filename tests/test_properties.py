@@ -1,4 +1,5 @@
-"""Property tests on random graphs: canonical labels, graph6 and theta witnesses."""
+"""Property tests on random graphs: canonical labels, graph6, theta witnesses
+and the counting structure checks."""
 
 from itertools import combinations
 
@@ -7,21 +8,32 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from helpers import relabeled, to_networkx  # noqa: E402
+from helpers import (  # noqa: E402
+    oracle_has_long_cycle,
+    oracle_is_book,
+    oracle_triangle_free,
+    relabeled,
+    to_networkx,
+)
 
 from spectheta import (  # noqa: E402
     Graph,
     ThetaSpec,
+    book,
     canonical_edge,
     canonical_form,
     canonical_label,
     contains_theta,
+    complete,
     from_graph6,
+    is_book,
     oracle_contains_theta,
     to_graph6,
     validate_witness,
 )
 from spectheta.canon import _canonical_pieces, _component_canonical  # noqa: E402
+from spectheta.spectral import triangle_free  # noqa: E402
+from spectheta.verify import has_long_cycle  # noqa: E402
 
 
 @st.composite
@@ -101,3 +113,16 @@ def test_theta_witness_valid_and_matches_oracle(g, spec):
     if witness is not None:
         assert validate_witness(g, spec, witness)
     assert (witness is not None) == oracle_contains_theta(g, spec)
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=12))
+@example(book(9))
+@example(complete(2))
+@example(Graph(7, list(book(4).edges())))  # a book plus an isolated vertex
+@example(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+def test_structure_counts_match_networkx(g):
+    pytest.importorskip("networkx")
+    assert has_long_cycle(g) == oracle_has_long_cycle(g)
+    assert is_book(g) == oracle_is_book(g)
+    assert triangle_free(g) == oracle_triangle_free(g)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_connected_graph
+from helpers import oracle_has_long_cycle, oracle_is_book, random_connected_graph
 
 from spectheta import (
     Graph,
@@ -14,15 +14,22 @@ from spectheta import (
     complete_bipartite,
     cycle,
     decompose,
+    enumerate_by_order,
     inequality_one_check,
     is_book,
     path,
     spectral_radius,
     star,
     star_plus_edge,
+    to_graph6,
     verify_theorem_instance,
 )
 from spectheta.verify import classify_component, has_long_cycle
+
+
+def _graphs_to_order_7():
+    # Every class on 1..7 vertices, disconnected ones included: 1,252 graphs.
+    return [g for n in range(1, 8) for g in enumerate_by_order(n)]
 
 
 def _prepared(g):
@@ -104,6 +111,9 @@ def test_has_long_cycle():
     assert has_long_cycle(complete(4).without_edge(0, 1))
     bowtie = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     assert not has_long_cycle(bowtie)
+    pytest.importorskip("networkx")
+    for g in _graphs_to_order_7():
+        assert has_long_cycle(g) == oracle_has_long_cycle(g), to_graph6(g)
 
 
 def test_checklist_on_books():
@@ -197,6 +207,9 @@ def test_is_book():
     assert not is_book(cycle(5))
     assert not is_book(book(4).with_edge(2, 3))
     assert not is_book(complete(4))
+    pytest.importorskip("networkx")
+    for g in _graphs_to_order_7():
+        assert is_book(g) == oracle_is_book(g), to_graph6(g)
 
 
 def test_certificate_book28():
