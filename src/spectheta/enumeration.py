@@ -34,6 +34,14 @@ isomorphic to an earlier child that is, and no class is lost.  Component
 counts of the children come from the parent's components, so a child that
 the connected-only prune drops is never built either.
 
+With a theta to avoid, a subtree is pruned at its first node that
+contains it, which loses no free class because containment is kept by
+adding edges and vertices.  Every node the tree descends from is then
+theta-free, so a child holds a theta iff one runs through the added edge
+(a, b), and `theta._theta_through_edge` tests only the hub pairs such a
+theta can have.  Pendant and fresh-edge children, whose added edge has a
+degree-1 end, are never tested.
+
 The same tree enumerates by order: walked with an order limit of n and no
 edge limit short of the complete graph, every node is a class on at most n
 vertices without isolated vertices, and padding it with isolated vertices
@@ -44,16 +52,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .canon import canonical_form, canonical_label, canonical_order, twin_classes
 from .graph6 import to_graph6
 from .graphs import MAX_N, Graph, bit_indices, complete
 from .spectral import COMPARISON_TOL, bound_value, spectral_radius
-from .theta import ThetaSpec, contains_theta
+from .theta import ThetaSpec, _theta_through_edge
 
 DEFAULT_EDGE_BUDGET = 12
 ORDER_BUDGET = 8
+_TOP = 6  # the best class and five runner-ups
 
 
 class BudgetError(Exception):
@@ -185,7 +193,9 @@ def _subtree(g: Graph, cert: bytes, components: int, m: int,
             continue
         # Containment is the same for every member of a class, so the theta
         # check runs last, once per accepted class instead of once per child.
-        if prune_spec is not None and contains_theta(child, prune_spec) is not None:
+        # g is theta-free (or it would have been pruned), so only a theta
+        # through the added edge is looked for.
+        if prune_spec is not None and _theta_through_edge(child, prune_spec, a, b):
             continue
         yield from _subtree(child, ccert, child_components, m, connected_only, prune_spec,
                             max_order)
@@ -257,6 +267,15 @@ def count_connected_by_order(n: int) -> int:
     return sum(1 for g in enumerate_by_order(n) if g.is_connected())
 
 
+def _lambda_square_bound(g: Graph) -> int:
+    # The largest row sum of A^2, max_v sum_{u ~ v} d_u, which is at least
+    # lambda^2: lambda^2 is the spectral radius of A^2, and that is at most
+    # its largest row sum.
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    return max(sum(deg[u] for u in bit_indices(row)) for row in adj)
+
+
 def _rank(a, b):
     # Larger lambda first; ties within tolerance break toward smaller order,
     # then lexicographically least certificate.
@@ -319,25 +338,60 @@ def extremal_search(m: int, spec: ThetaSpec, *,
     Subtrees of the generation tree rooted at a graph already containing
     the theta are pruned: containment is monotone under adding edges and
     vertices, so no spec-free descendant is lost.
+
+    Only a top six is held, in `_rank` order: each solved class goes in
+    before the first held entry it ranks ahead of, and the seventh is cut.
+    Every class counts in num_candidates, but once six are held a class g
+    is skipped, with no canonical form and no eigensolve, when
+
+        B(g) = max_v sum_{u ~ v} d_u  <  (lam_min - 2 * COMPARISON_TOL)^2,
+
+    where lam_min is the least lambda held.  B(g) is the largest row sum
+    of A^2, which bounds its spectral radius lambda^2, and it is the same
+    for every member of the class.  A skipped class cannot change the top
+    six.  Its lambda as computed is within the solver's error, orders of
+    magnitude below COMPARISON_TOL, of the exact value, and that is at
+    most sqrt(B(g)) < lam_min - 2 * COMPARISON_TOL.  So every held lambda
+    exceeds it by more than COMPARISON_TOL, `_rank` puts every held entry
+    ahead of it by the lambda clause alone, and it would go in seventh
+    and be cut: the held list, and so every later step, is the same as if
+    it had been solved.  This uses only the comparisons of g with the held
+    entries, not transitivity, which `_rank` lacks: its tolerance can chain
+    lambdas each within 1e-9 of the next.  The six held are the first six
+    of the full `_rank` order whenever that order is total on the
+    candidates, as it is when lambdas within the tolerance of each other
+    are equal up to rounding.
     """
     _check_edge_budget(m, budget)
-    entries = []
+    top = []
+    skip_below = None
+    count = 0
     for g, cert in _stream(m, True, spec):
+        count += 1
+        if skip_below is not None and _lambda_square_bound(g) < skip_below:
+            continue
         # The canonical form, not the tree's representative, so that the
         # record depends on the class set alone.
         h = canonical_form(g)
-        entries.append((spectral_radius(h).lam, h.n, cert, h))
-    if not entries:
+        entry = (spectral_radius(h).lam, h.n, cert, h)
+        i = 0
+        while i < len(top) and _rank(entry, top[i]) >= 0:
+            i += 1
+        if i < _TOP:
+            top.insert(i, entry)
+            del top[_TOP:]
+            if len(top) == _TOP:
+                skip_below = (min(e[0] for e in top) - 2 * COMPARISON_TOL) ** 2
+    if not top:
         raise RuntimeError(f"no {spec}-free class with {m} edges; this cannot happen for m >= 1")
-    entries.sort(key=cmp_to_key(_rank))
-    best = entries[0]
-    runner_ups = tuple((to_graph6(e[3]), e[0]) for e in entries[1:6])
+    best = top[0]
+    runner_ups = tuple((to_graph6(e[3]), e[0]) for e in top[1:])
     return ExtremalRecord(
         m=m,
         spec=spec,
         best_graph=best[3],
         best_lambda=best[0],
-        num_candidates=len(entries),
+        num_candidates=count,
         runner_ups=runner_ups,
     )
 

@@ -3,6 +3,20 @@
 A theta graph with parameters (r, p, q) joins two hub vertices by three
 internally disjoint paths of edge lengths r, p and q.  Detection uses
 subgraph semantics: chords inside witness paths are allowed.
+
+The generation tree asks a narrower yes/no question: g minus one edge is
+theta-free, so does g hold a theta?  `_theta_through_edge` answers it from
+the hub pairs a theta through that edge can have.  For each pair,
+`_theta_by_counting` uses that the length-2 paths between two hubs are
+their common neighbours and are interchangeable: it searches only the
+other paths, then compares the number of common neighbours those paths
+leave unused with the number of length-2 paths it needs.
+
+`contains_theta`, which `verify` and `free` use, still searches every
+path.  Counting could serve it too and make a `verify` of a book or a
+K2,t far faster, but a benchmark `certify` repetition would then last a
+fraction of a second, and the benchmark's speed probe cannot yet take a
+sample inside repetitions that short.  It waits for that fix.
 """
 
 from __future__ import annotations
@@ -149,6 +163,58 @@ def _theta_between(g, spec, a, b):
                     a, b, ((a, *first, b), (a, *second, b), (a, *third, b))
                 )
     return None
+
+
+def _theta_by_counting(g, spec, x, y):
+    # Whether hubs x and y carry the theta.  The paths of length other than
+    # two are searched; the length-2 paths are interchangeable common
+    # neighbours, so they are counted among those the search left unused.
+    common = g.adj[x] & g.adj[y]
+    lengths = [length for length in (spec.r, spec.p, spec.q) if length != 2]
+    twos = 3 - len(lengths)
+    if common.bit_count() < twos:
+        return False
+
+    def rest(i, used):
+        if i == len(lengths):
+            return (common & ~used).bit_count() >= twos
+        for inner in _paths(g, x, y, lengths[i], used):
+            mask = used
+            for v in inner:
+                mask |= 1 << v
+            if rest(i + 1, mask):
+                return True
+        return False
+
+    return rest(0, 0)
+
+
+def _theta_through_edge(g: Graph, spec: ThetaSpec, a: int, b: int) -> bool:
+    """Whether g contains the theta, given that g minus its edge (a, b) does not.
+
+    Every theta of g then runs through (a, b), so only the hub pairs such a
+    theta can have are tested.  A degree-1 endpoint lies on no cycle, so
+    pendant and fresh-edge additions never close one.  When q <= 3, every
+    edge of a theta meets a hub except the middle edge of a length-3 path,
+    so the hubs are a or b with any vertex, or one neighbour of a and one
+    of b; longer paths leave every eligible pair.
+    """
+    adj = g.adj
+    if adj[a].bit_count() < 2 or adj[b].bit_count() < 2:
+        return False
+    if g.n < spec.order or g.m < spec.size:
+        return False
+    eligible = [v for v in range(g.n) if adj[v].bit_count() >= 3]
+    if spec.q <= 3:
+        emask = 0
+        for v in eligible:
+            emask |= 1 << v
+        hubs = [(x, y) for x in (a, b) if (emask >> x) & 1 for y in eligible if y != x]
+        hubs += [(x, y) for x in bit_indices(adj[a] & emask)
+                 for y in bit_indices(adj[b] & emask) if y != x]
+    else:
+        hubs = [(x, y) for i, x in enumerate(eligible) for y in eligible[i + 1:]]
+    return any(_theta_by_counting(g, spec, x, y) for x, y in hubs)
 
 
 def contains_theta(g: Graph, spec: ThetaSpec):

@@ -67,6 +67,19 @@ def random_connected_graph(rng, max_n=20) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def all_augmentations(g: Graph):
+    """Every child of g with one more edge, and the added edge: each
+    non-edge, each pendant to a new vertex, then the fresh disjoint edge."""
+    n = g.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v):
+                yield g.with_edge(u, v), (u, v)
+    for u in range(n):
+        yield Graph(n + 1, list(g.edges()) + [(u, n)]), (u, n)
+    yield Graph(n + 2, list(g.edges()) + [(n, n + 1)]), (n, n + 1)
+
+
 def graphs_on(n: int):
     """All labeled graphs on exactly n vertices, one per edge subset."""
     pairs = list(combinations(range(n), 2))

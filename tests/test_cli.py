@@ -157,6 +157,37 @@ def test_search_json_golden(capsys):
     assert rec["spec"] == [2, 2, 3]
 
 
+# sha256 of the stdout of `search --edges M --spec S --json`, and of
+# `table --edges 3..10 --spec 2,2,3 --json`, frozen from the search that
+# labelled and solved every candidate and ran the full theta detector on
+# every tree child.
+SEARCH_STDOUT_DIGESTS = {
+    (3, "2,2,3"): "e59e3d71098d90de8522f1f0a7c7a4158d8763bc5abe0f29a502fb53cafd5223",
+    (4, "2,2,3"): "6666f468e817882f3be1efbddf4d2ae341bffeb979e4b6a75044fe968de4cfca",
+    (5, "2,2,3"): "64b6b0048a5244a69a27407ff9a1965cdfc3193ce0b862e01e9c48aeeeebd0ef",
+    (6, "2,2,3"): "275b1d9cc26265abbe3bf9ec838eec998d374d2af65440c91b4a1791d3db348e",
+    (7, "2,2,3"): "b74b724fb9b002d6aa0eebe798aac9227e391b788331bc428921508d69547d24",
+    (8, "2,2,3"): "8b045b05e45d243698c2a4aa54758706b51b225a48bb835878c647e82bf2cc88",
+    (9, "2,2,3"): "43cad2c5a66b599fc430f37649c81f49048d70376b9f6686245a5c1b627b1e12",
+    (10, "2,2,3"): "dcc731daf997d31644adacbf8f79c40e2213598476b006f48216d2a70b699e78",
+    (11, "2,2,3"): "63eb6dd1e7801c219a27b4392540c5b4a12391ba7e066fc78e4edaf7c9bb229b",
+    (10, "2,2,2"): "94481af84d96c987a343549bf0a965b1f0f460be38ea780686d7ab3b015b7a96",
+    (10, "3,3,3"): "1f4787691571c14a45b10526c3f32f28c06079cd955cf8c78d0830804f30ca97",
+    (10, "1,2,2"): "c5c8e204bce5e437ee5670d0c34c42a0b251126433a75fde286bfac45aebadea",
+}
+TABLE_STDOUT_DIGEST = "b68f4ba57c0fe876ea890d2ff6c76e8df91b93a1a7218de34b5451c615eb7375"
+
+
+def test_search_and_table_stdout_pinned(capsys):
+    for (m, spec), want in SEARCH_STDOUT_DIGESTS.items():
+        code, out, _ = run_cli(capsys, ["search", "--edges", str(m), "--spec", spec, "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (m, spec)
+    code, out, _ = run_cli(capsys, ["table", "--edges", "3..10", "--spec", "2,2,3", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_STDOUT_DIGEST
+
+
 def test_search_deterministic_across_runs_and_threads(capsys):
     outputs = []
     for argv in (

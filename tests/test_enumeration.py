@@ -4,7 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import brute_force_class_key, graphs_on, labeled_graphs_with_edges, to_networkx
+import random
+
+from helpers import (
+    all_augmentations,
+    brute_force_class_key,
+    graphs_on,
+    labeled_graphs_with_edges,
+    random_connected_graph,
+    to_networkx,
+)
 
 from spectheta import (
     MAX_N,
@@ -29,7 +38,14 @@ from spectheta import (
     star,
     to_graph6,
 )
-from spectheta.enumeration import _augmentations, _delete_with_cleanup, _subtree, canonical_edge
+from spectheta import enumeration
+from spectheta.enumeration import (
+    _augmentations,
+    _delete_with_cleanup,
+    _lambda_square_bound,
+    _subtree,
+    canonical_edge,
+)
 
 # Published counts of graphs with m edges and no isolated vertices, m = 1..10
 # (OEIS A000664), and of the connected ones with 8 to 10 edges (A002905).
@@ -41,6 +57,18 @@ CONNECTED_CLASSES_BY_EDGES = {8: 227, 9: 710, 10: 2322}
 CERTIFICATE_SET_DIGESTS = {
     (8, False): (497, "b27313236a7b78e7f502fc05ea5696702d621f51f55a7fe2054df8acc76ce587"),
     (9, True): (710, "e4235894fd39552989e633e64b4fac8a42cb4a549af2799c4c20013c398d62f4"),
+}
+
+# (spec, connected only) -> the same for enumerate_by_edges(9, connected,
+# free=spec), frozen from the tree that ran the full theta detector on
+# every accepted child.
+FREE_CERTIFICATE_SET_DIGESTS = {
+    ((2, 2, 3), True): (667, "01e972b47d13a25ef1880a049020175a649c52cd16214be9db3c991560fd3a73"),
+    ((2, 2, 3), False): (1424, "d62853f5b1ac2cae7307e0dfb316a60d64af20ae65d59a49feb171cbc3301a9d"),
+    ((2, 2, 2), True): (645, "f277f3055a38c7b9c9c9adbc76962777c677f10d6c4dc8fa45c4de82f6d29461"),
+    ((2, 2, 2), False): (1381, "dd3169a66fdcf313bdf4ec5b232c27301d9e15f13cb363ef60cd797da647596b"),
+    ((3, 3, 3), True): (709, "36648980c2ba8bbe986d0afab7e54002ba50e0f7d8ed7d87e8b973d5db120219"),
+    ((3, 3, 3), False): (1475, "c08ca43017dabacfa8ab9ba4d25084a9e43ca4228b713a9a8a03c2c3eaed5df7"),
 }
 
 
@@ -69,6 +97,15 @@ def test_certificate_sets_frozen():
         assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
 
 
+def test_free_certificate_sets_frozen():
+    # The theta prune keeps exactly the frozen free class sets.
+    for (spec, connected), (count, digest) in FREE_CERTIFICATE_SET_DIGESTS.items():
+        free = ThetaSpec(*spec)
+        certs = sorted(canonical_label(g).data for g in enumerate_by_edges(9, connected, free=free))
+        assert len(certs) == count
+        assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
+
+
 def test_pairwise_non_isomorphic_under_networkx():
     # Independent oracle for the dedupe: no two outputs with the same degree
     # sequence are isomorphic according to networkx.
@@ -81,18 +118,6 @@ def test_pairwise_non_isomorphic_under_networkx():
             for other in buckets.setdefault(key, []):
                 assert not nx.is_isomorphic(h, other)
             buckets[key].append(h)
-
-
-def _all_augmentations(g):
-    # Reference: every non-edge, every pendant, then the fresh disjoint edge.
-    n = g.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not g.has_edge(u, v):
-                yield g.with_edge(u, v), (u, v)
-    for u in range(n):
-        yield Graph(n + 1, list(g.edges()) + [(u, n)]), (u, n)
-    yield Graph(n + 2, list(g.edges()) + [(n, n + 1)]), (n, n + 1)
 
 
 def _first_per_certificate(children):
@@ -132,7 +157,7 @@ def _twin_lead(g, a, b):
 def test_twin_augmentations_keep_first_child_per_certificate():
     for n in range(1, 7):
         for g in enumerate_by_order(n):
-            full = [(c, e) for c, e in _all_augmentations(g) if _carries_least_pair(c, e)]
+            full = [(c, e) for c, e in all_augmentations(g) if _carries_least_pair(c, e)]
             got = list(_augmentations(g, MAX_N, MAX_N))
             # Exactly the least-pair augmentations with twin-lead endpoints, in loop order.
             assert [(a, b) for a, b, _ in got] == [e for _, e in full if _twin_lead(g, *e)]
@@ -157,7 +182,7 @@ def test_least_pair_filter_drops_only_rejected_children():
         for g in enumerate_by_edges(m):
             cert = canonical_label(g).data
             kept = []
-            for child, edge in _all_augmentations(g):
+            for child, edge in all_augmentations(g):
                 u, v = canonical_edge(child)
                 accepted = canonical_label(_delete_with_cleanup(child, u, v)).data == cert
                 if _carries_least_pair(child, edge):
@@ -294,6 +319,44 @@ def test_runner_ups_ordered():
                 [[(row >> j) & 1 for j in range(g.n)] for row in g.adj], dtype=float))[-1]
             assert abs(lam - want) <= 1e-9 * max(1.0, lam)
             assert not GraphMatcher(to_networkx(g), theta).subgraph_is_monomorphic()
+
+
+def _dense_lambda(g):
+    a = np.array([[(row >> j) & 1 for j in range(g.n)] for row in g.adj], dtype=float)
+    return np.linalg.eigvalsh(a)[-1]
+
+
+def test_lambda_square_bound_holds():
+    # lambda^2 is at most the largest row sum of A^2, max_v sum_{u ~ v} d_u.
+    rng = random.Random(12)
+    graphs = [g for n in range(1, 8) for g in enumerate_by_order(n) if g.is_connected()]
+    graphs += [random_connected_graph(rng, max_n=40) for _ in range(300)]
+    for g in graphs:
+        deg = [row.bit_count() for row in g.adj]
+        want = max(sum(deg[u] for u in range(g.n) if g.has_edge(u, v)) for v in range(g.n))
+        assert _lambda_square_bound(g) == want
+        assert _dense_lambda(g) ** 2 <= want * (1 + 1e-12)
+
+
+def test_extremal_search_m10_solves_few_leaves(monkeypatch):
+    # Leaves whose bound cannot reach the held top six get neither a
+    # canonical form nor an eigensolve; every leaf is still counted.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "spectral_radius",
+                        counted("spectral_radius", enumeration.spectral_radius))
+    monkeypatch.setattr(enumeration, "canonical_form",
+                        counted("canonical_form", enumeration.canonical_form))
+    rec = extremal_search(10, ThetaSpec(2, 2, 3))
+    assert rec.num_candidates == 2100
+    assert 6 <= calls["spectral_radius"] <= 150
+    assert 6 <= calls["canonical_form"] <= 150
 
 
 def test_record_json_deterministic():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_connected_graph, to_networkx
+from helpers import all_augmentations, random_connected_graph, to_networkx
 
 from spectheta import (
     Graph,
@@ -12,6 +12,7 @@ from spectheta import (
     complete_bipartite,
     contains_theta,
     cycle,
+    enumerate_by_order,
     is_theta_free,
     oracle_contains_theta,
     path,
@@ -19,6 +20,7 @@ from spectheta import (
     theta_graph,
     validate_witness,
 )
+from spectheta.theta import _theta_through_edge
 
 
 def test_spec_normalizes_and_validates():
@@ -183,3 +185,22 @@ def test_oracle_identity_embedding_and_guard():
     assert oracle_contains_theta(theta_graph(spec), spec)
     with pytest.raises(ValueError):
         oracle_contains_theta(complete(11), spec)
+
+
+def test_theta_through_edge_matches_detector_on_every_small_child():
+    # A child of a theta-free parent holds a theta iff the edge-rooted
+    # check says so; every child of every theta-free graph of order <= 7.
+    specs = [ThetaSpec(*t) for t in ((2, 2, 3), (2, 2, 2), (1, 2, 2), (3, 3, 3), (2, 3, 3),
+                                     (2, 2, 4))]
+    parents = [g for n in range(1, 8) for g in enumerate_by_order(n)]
+    cases = positives = 0
+    for spec in specs:
+        for g in parents:
+            if contains_theta(g, spec) is not None:
+                continue
+            for child, (a, b) in all_augmentations(g):
+                want = contains_theta(child, spec) is not None
+                assert _theta_through_edge(child, spec, a, b) == want, (spec, child.edges(), a, b)
+                cases += 1
+                positives += want
+    assert (cases, positives) == (82_855, 7_421)
