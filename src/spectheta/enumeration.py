@@ -1,38 +1,50 @@
 """Isomorph-free generation of graphs by edge count, and extremal search.
 
-Generation uses canonical augmentation: level-k graphs (k edges, minimum
-degree one) grow by one edge, either between existing vertices, to one new
+Generation is McKay's canonical augmentation ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  Level-k graphs (k edges, minimum
+degree one) grow by one edge: between existing vertices, to one new
 vertex, or as a fresh disjoint edge.  The canonical edge of a graph is,
-among the edges whose sorted endpoint-degree pair (min, max) is least, the
-one in the least slot of the canonical form.  A child survives only when
-deleting its canonical edge (dropping vertices this isolates) regenerates
-the parent it came from, which makes every isomorphism class reachable
-from exactly one parent class; children of a single parent are
-deduplicated by certificate because equivalent augmentations of one parent
-pass the same test.  A child whose canonical edge is the added edge is
-accepted without a deletion label, because deleting that edge drops
-exactly the new pendant or fresh-edge vertices and gives back the parent
-row for row.  Memory stays bounded by one parent's child list per level.
+among the edges whose sorted endpoint-degree pair (min, max) is least,
+the one in the least slot of the canonical form, so isomorphisms take
+canonical edges to canonical edges up to automorphism.  Each parent P is
+augmented once per orbit of Aut(P), and a child C = P + e is accepted iff
+e lies in the Aut(C)-orbit of the canonical edge of C.  If the tree holds
+one representative per class at level k, it then holds one at level k + 1:
 
-The degree pair is checked before the child is built (McKay, "Isomorph-
-free exhaustive generation", J. Algorithms 26, 1998): `_augmentations`
-yields an added edge only if it carries the least pair of the child,
-computed from the parent's degrees, because only the two endpoints gain
-one.  This drops only children the deletion test would reject.  The added
-edge (a, b) gives child - (a, b) = parent, and if child - c is isomorphic
-to the parent for the canonical edge c, the two deletions leave equal
-degree sequences, which forces pair(a, b) = pair(c).  Nor is a class lost:
-if C - c is isomorphic to a kept parent P, the image of c is an
-augmentation of P with the least pair, which the twin-reduced set below
-reaches up to an automorphism of P, and that child passes the pair test
-and the deletion test.
+- At least one.  Deleting the canonical edge c of a class C, and the
+  vertices this isolates, leaves a class whose representative P is in the
+  tree.  An isomorphism onto P takes c to an augmentation of P, the
+  member of its orbit that P yields gives a child isomorphic to C whose
+  added edge is an image of c, and that child is accepted.
+- At most one.  Two accepted children C1 = P1 + e1 and C2 = P2 + e2 that
+  are isomorphic have an isomorphism psi with psi(e1) = e2, because each
+  added edge lies in the orbit of its canonical edge.  psi takes C1 - e1
+  onto C2 - e2 and the new vertices (isolated there) onto new vertices,
+  so P1 = P2 = P and psi restricted to P is an automorphism of P that
+  takes e1 to e2: one orbit, and P yields one member of it.
 
-Each parent is augmented once per twin class (vertices with equal open or
-closed neighborhoods): swapping two twins is an automorphism of the parent,
-so a child whose endpoints are not the least members of their classes is
-isomorphic to an earlier child that is, and no class is lost.  Component
-counts of the children come from the parent's components, so a child that
-the connected-only prune drops is never built either.
+`_augmentations` yields the member of each orbit first in its loop order.
+The twin swaps cut first, with no label: an endpoint that is not the
+least member of its twin class (vertices with equal open or closed
+neighborhoods), or the second least when both share a class, cannot be
+first.  The first survivor needs no label either.  From the second
+survivor on, P is labelled once, and the orbit of each yielded survivor
+is walked under the generators of Aut(P) that labelling leaves in the
+cache (`canon.automorphism_generators`; `canon` shows that they generate
+the whole group).
+
+The degree pair decides most acceptances before any label (the
+invariant-first test of McKay's paper).  Only the two endpoints of e gain
+a degree and a new vertex has degree one, so `_augmentations` reads the
+pairs of the child from P's degrees.  An e without the least pair is not
+in the orbit of the canonical edge, which has it, and is never built.  An
+e that is the only edge with the least pair is the canonical edge, and
+its child is accepted with no label.  Only when another edge ties the
+pair is the child labelled, by `canonical_edge`, and the orbit of e under
+the child's generators decides.  No sibling is labelled for a duplicate
+check, and no deletion is labelled.  Component counts of the children
+come from the parent's components, so a child that the connected-only
+prune drops is never built.
 
 With a theta to avoid, a subtree is pruned at its first node that
 contains it, which loses no free class because containment is kept by
@@ -53,7 +65,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .canon import canonical_form, canonical_label, canonical_order, twin_classes
+from .canon import (
+    automorphism_generators,
+    canonical_form,
+    canonical_label,
+    canonical_order,
+    twin_classes,
+)
 from .graph6 import to_graph6
 from .graphs import MAX_N, Graph, bit_indices, complete
 from .spectral import COMPARISON_TOL, bound_value, spectral_radius
@@ -66,14 +84,6 @@ _TOP = 6  # the best class and five runner-ups
 
 class BudgetError(Exception):
     """Requested enumeration exceeds the configured guard."""
-
-
-def _delete_with_cleanup(g: Graph, u: int, v: int) -> Graph:
-    h = g.without_edge(u, v)
-    keep = [w for w in range(h.n) if h.adj[w]]
-    if len(keep) == h.n:
-        return h
-    return h.induced(keep)
 
 
 def canonical_edge(g: Graph):
@@ -105,22 +115,48 @@ def canonical_edge(g: Graph):
                 return (u, v) if u < v else (v, u)
 
 
-def _augmentations(g: Graph, max_components: int, max_order: int):
-    """The augmentations of g worth labelling, as (a, b, component count).
+def _orbit(a: int, b: int, gens) -> set:
+    # The orbit of the vertex pair {a, b}, as sorted pairs, under the group
+    # that gens generate; a vertex past the permutations (a new one) is fixed.
+    seen = {(a, b)}
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        for perm in gens:
+            x = perm[a]
+            y = perm[b] if b < len(perm) else b
+            pair = (x, y) if x < y else (y, x)
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return seen
 
-    Yields the added edge (a, b), with b the largest vertex of the child,
-    in the order of the full augmentation loop: non-edges by (u, v),
-    pendants by u, then the fresh disjoint edge.  An edge is kept only if
-    each endpoint is the least member of its twin class (or the second
-    least when both share a class), the child has at most max_components
-    components and max_order vertices, and the added edge carries the
-    least sorted degree pair of the child.  A skipped twin child is the
-    image of an earlier kept child under a swap of twins, so every
-    certificate that passes the pair test keeps its first child.
+
+def _augmentations(g: Graph, max_components: int, max_order: int):
+    """One augmentation of g per Aut(g)-orbit worth building.
+
+    Yields (a, b, components, sole): the added edge (a, b), with b the
+    largest vertex of the child, the child's component count, and whether
+    the added edge is the only edge of the child with its degree pair.  An
+    orbit is kept only if the child has at most max_components components
+    and max_order vertices and the added edge carries the least sorted
+    degree pair of the child; all three are the same across an orbit.  Of
+    each kept orbit, only the member first in the full augmentation loop
+    is yielded (non-edges by (u, v), pendants by u, then the fresh
+    disjoint edge), in that order.
+
+    Two cuts run before any orbit is walked.  An endpoint must be the
+    least member of its twin class, or the second least when both share a
+    class: the first member of an orbit always is, since a swap of twins
+    would otherwise give an earlier member.  And the first survivor is
+    yielded as it is, so a parent with one survivor is never labelled.
+    From the second survivor on, each survivor is dropped if it lies in
+    the orbit of one yielded before it, under generators of Aut(g).
 
     Only a and b gain one degree, and a new vertex has degree one, so an
-    edge of g can undercut the added edge only if its pair in g already
-    does; the edges are sorted by pair once and scanned up to that point.
+    edge of g can undercut or tie the added edge only if its pair in g
+    already is at most the added edge's; the edges are sorted by pair once
+    and scanned up to that point.
     """
     n = g.n
     adj = g.adj
@@ -139,79 +175,97 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
     deg = [row.bit_count() for row in adj]
     edges = sorted(((min(deg[u], deg[v]), max(deg[u], deg[v])), u, v) for u, v in g.edges())
 
-    def least(a, b):
+    def pair_test(a, b):
+        # None if an edge of the child undercuts the pair of (a, b), else
+        # whether no other edge ties it.
         da = deg[a] + 1 if a < n else 1
         db = deg[b] + 1 if b < n else 1
         pair = (da, db) if da <= db else (db, da)
+        sole = True
         for old, u, v in edges:
-            if old >= pair:
+            if old > pair:
                 break
             du = deg[u] + (u == a or u == b)
             dv = deg[v] + (v == a or v == b)
-            if ((du, dv) if du <= dv else (dv, du)) < pair:
-                return False
-        return True
+            new = (du, dv) if du <= dv else (dv, du)
+            if new < pair:
+                return None
+            if new == pair:
+                sole = False
+        return sole
 
-    for u in bit_indices(lead):
-        later = (lead | second.get(u, 0)) & ~adj[u] & ~((2 << u) - 1)
-        for v in bit_indices(later):
-            count = c if (comp[u] >> v) & 1 else c - 1
-            if count <= max_components and least(u, v):
-                yield u, v, count
-    if n + 1 <= max_order and c <= max_components:
+    def survivors():
         for u in bit_indices(lead):
-            if least(u, n):
-                yield u, n, c
-    # The fresh edge has the pair (1, 1), which no edge undercuts.
+            later = (lead | second.get(u, 0)) & ~adj[u] & ~((2 << u) - 1)
+            for v in bit_indices(later):
+                count = c if (comp[u] >> v) & 1 else c - 1
+                if count <= max_components:
+                    sole = pair_test(u, v)
+                    if sole is not None:
+                        yield u, v, count, sole
+        if n + 1 <= max_order and c <= max_components:
+            for u in bit_indices(lead):
+                sole = pair_test(u, n)
+                if sole is not None:
+                    yield u, n, c, sole
+
+    gens = None
+    claimed = set()
+    last = None  # the last survivor yielded, its orbit not yet claimed
+    for a, b, count, sole in survivors():
+        if last is not None:
+            if gens is None:
+                # The label fills the cache that automorphism_generators reads.
+                canonical_label(g)
+                gens = automorphism_generators(g)
+            claimed |= _orbit(*last, gens)
+            last = None
+        if (a, b) in claimed:
+            continue
+        last = a, b
+        yield a, b, count, sole
+    # The fresh edge is an orbit of its own, and no edge undercuts its pair (1, 1).
     if n + 2 <= max_order and c + 1 <= max_components:
-        yield n, n + 1, c + 1
+        yield n, n + 1, c + 1, pair_test(n, n + 1)
 
 
-def _subtree(g: Graph, cert: bytes, components: int, m: int,
-             connected_only: bool, prune_spec, max_order: int):
-    # Every node, depth first, down to m edges: (graph, certificate, components).
-    yield g, cert, components
+def _subtree(g: Graph, components: int, m: int, connected_only: bool, prune_spec,
+             max_order: int):
+    # Every node, depth first, down to m edges: (graph, component count).
+    yield g, components
     level = g.m
     if level == m:
         return
     # Each edge still to add merges at most two components.
     max_components = m - level if connected_only else MAX_N
-    seen = set()
-    for a, b, child_components in _augmentations(g, max_components, max_order):
+    for a, b, child_components, sole in _augmentations(g, max_components, max_order):
         rows = list(g.adj) + [0] * (b + 1 - g.n)
         rows[a] |= 1 << b
         rows[b] |= 1 << a
         child = Graph._from_rows(rows)
-        ccert = canonical_label(child).data
-        if ccert in seen:
-            continue
-        seen.add(ccert)
-        # Deleting the added edge itself gives back g row for row, whose
-        # certificate is cert.
-        u, v = canonical_edge(child)
-        if (u, v) != (a, b) and canonical_label(_delete_with_cleanup(child, u, v)).data != cert:
-            continue
-        # Containment is the same for every member of a class, so the theta
-        # check runs last, once per accepted class instead of once per child.
+        # An added edge alone with the least pair is the canonical edge.
+        # Otherwise the child is labelled, and kept iff an automorphism of
+        # the child takes its canonical edge to the added edge.
+        if not sole:
+            edge = canonical_edge(child)
+            if edge != (a, b) and edge not in _orbit(a, b, automorphism_generators(child)):
+                continue
         # g is theta-free (or it would have been pruned), so only a theta
         # through the added edge is looked for.
         if prune_spec is not None and _theta_through_edge(child, prune_spec, a, b):
             continue
-        yield from _subtree(child, ccert, child_components, m, connected_only, prune_spec,
-                            max_order)
+        yield from _subtree(child, child_components, m, connected_only, prune_spec, max_order)
 
 
 def _walk(m: int, connected_only: bool, prune_spec, max_order: int):
-    root = complete(2)
-    return _subtree(root, canonical_label(root).data, 1, m, connected_only, prune_spec,
-                    max_order)
+    return _subtree(complete(2), 1, m, connected_only, prune_spec, max_order)
 
 
 def _stream(m: int, connected_only: bool, prune_spec):
     # The classes with exactly m edges, connected ones only when asked.
-    for g, cert, components in _walk(m, connected_only, prune_spec, MAX_N):
+    for g, components in _walk(m, connected_only, prune_spec, MAX_N):
         if g.m == m and (not connected_only or components == 1):
-            yield g, cert
+            yield g
 
 
 def _check_edge_budget(m: int, budget: int):
@@ -236,7 +290,7 @@ def enumerate_by_edges(m: int, connected_only: bool = False, *,
     containment is kept by adding edges and vertices.
     """
     _check_edge_budget(m, budget)
-    return (g for g, _ in _stream(m, connected_only, free))
+    return _stream(m, connected_only, free)
 
 
 def enumerate_by_order(n: int):
@@ -258,7 +312,7 @@ def enumerate_by_order(n: int):
     yield Graph(n)
     if n < 2:
         return
-    for g, _, _ in _walk(n * (n - 1) // 2, False, None, n):
+    for g, _ in _walk(n * (n - 1) // 2, False, None, n):
         yield Graph._from_rows(g.adj + (0,) * (n - g.n))
 
 
@@ -342,7 +396,7 @@ def extremal_search(m: int, spec: ThetaSpec, *,
     Only a top six is held, in `_rank` order: each solved class goes in
     before the first held entry it ranks ahead of, and the seventh is cut.
     Every class counts in num_candidates, but once six are held a class g
-    is skipped, with no canonical form and no eigensolve, when
+    is skipped, with no label, no canonical form and no eigensolve, when
 
         B(g) = max_v sum_{u ~ v} d_u  <  (lam_min - 2 * COMPARISON_TOL)^2,
 
@@ -366,14 +420,14 @@ def extremal_search(m: int, spec: ThetaSpec, *,
     top = []
     skip_below = None
     count = 0
-    for g, cert in _stream(m, True, spec):
+    for g in _stream(m, True, spec):
         count += 1
         if skip_below is not None and _lambda_square_bound(g) < skip_below:
             continue
         # The canonical form, not the tree's representative, so that the
         # record depends on the class set alone.
         h = canonical_form(g)
-        entry = (spectral_radius(h).lam, h.n, cert, h)
+        entry = (spectral_radius(h).lam, h.n, canonical_label(g).data, h)
         i = 0
         while i < len(top) and _rank(entry, top[i]) >= 0:
             i += 1

@@ -101,6 +101,13 @@ def brute_force_class_key(g: Graph):
     return (g.n, best)
 
 
+def brute_force_automorphisms(g: Graph):
+    """Every vertex permutation that maps the edge set onto itself."""
+    edges = set(g.edges())
+    return [perm for perm in permutations(range(g.n))
+            if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in edges)]
+
+
 def labeled_graphs_with_edges(m: int):
     """All labeled graphs with exactly m edges and no isolated vertices,
     over every feasible order n in 2..2m."""
@@ -116,3 +123,12 @@ def labeled_graphs_with_edges(m: int):
                 cover |= (1 << u) | (1 << v)
             if cover == full:
                 yield Graph(n, [pairs[i] for i in chosen])
+
+
+def delete_with_cleanup(g: Graph, u: int, v: int) -> Graph:
+    """g without the edge (u, v) and without the vertices this isolates."""
+    h = g.without_edge(u, v)
+    keep = [w for w in range(h.n) if h.adj[w]]
+    if len(keep) == h.n:
+        return h
+    return h.induced(keep)

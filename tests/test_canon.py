@@ -1,17 +1,29 @@
 import random
 from collections import defaultdict
 
-from helpers import brute_force_class_key, graphs_on, random_permutation, relabeled
+import pytest
+
+from helpers import (
+    brute_force_automorphisms,
+    brute_force_class_key,
+    graphs_on,
+    random_permutation,
+    relabeled,
+    to_networkx,
+)
 
 from spectheta import (
     Graph,
+    automorphism_generators,
     book,
     canonical_edge,
     canonical_form,
     canonical_label,
     canonical_order,
+    complete,
     complete_bipartite,
     cycle,
+    enumerate_by_order,
     path,
     star,
 )
@@ -100,3 +112,47 @@ def test_canonical_edge_is_orbit_stable():
             x, y = canonical_edge(h)
             assert canonical_label(h.without_edge(x, y)) == base
     assert canonical_edge(Graph(3)) is None
+
+
+def _group_order(g):
+    # Size of the closure of the generators under composition, after
+    # checking that each generator is an automorphism.
+    gens = automorphism_generators(g)
+    edges = set(g.edges())
+    for perm in gens:
+        assert sorted(perm) == list(range(g.n))
+        assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+    seen = {tuple(range(g.n))}
+    stack = list(seen)
+    while stack:
+        perm = stack.pop()
+        for gen in gens:
+            q = tuple(gen[v] for v in perm)
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return len(seen)
+
+
+def test_automorphism_generators_generate_the_group():
+    # Every class on at most six vertices, 3K2 and 2K3 among them, against
+    # the brute-force count over all vertex permutations.
+    for n in range(1, 7):
+        for g in enumerate_by_order(n):
+            assert _group_order(g) == len(brute_force_automorphisms(g)), list(g.edges())
+
+
+def test_automorphism_generators_on_larger_symmetric_graphs():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    disjoint = Graph(12, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                          (6, 7), (8, 9), (10, 11), (0, 6)])
+    for g in (petersen, cycle(9), book(5), complete_bipartite(3, 4), complete(5), star(7),
+              disjoint):
+        h = to_networkx(g)
+        want = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        assert _group_order(g) == want

@@ -66,13 +66,21 @@ def test_enumerate_stream(capsys):
     assert got == want
 
 
+# m -> (line count, sha256) of the stdout of `enumerate --edges M`; m = 10 is
+# the benchmark's `enumerate` workload.
+ENUMERATE_STDOUT_DIGESTS = {
+    8: (497, "8c6195c7d86350d62427ef160eaa2e0921cb00e5b936304beef136b03bc6e3fa"),
+    10: (4613, "a8b0237c067c82b06245a13336041bc0aca472c1b5b4cf52095210ebf402a1d8"),
+}
+
+
 def test_enumerate_stream_bytes_pinned(capsys):
-    # Any change to the representatives or their order changes this digest.
-    code, out, _ = run_cli(capsys, ["enumerate", "--edges", "8"])
-    assert code == 0
-    assert len(out.splitlines()) == 497
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "8c6195c7d86350d62427ef160eaa2e0921cb00e5b936304beef136b03bc6e3fa"
+    # Any change to the representatives or their order changes these digests.
+    for m, (lines, want) in ENUMERATE_STDOUT_DIGESTS.items():
+        code, out, _ = run_cli(capsys, ["enumerate", "--edges", str(m)])
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == want, m
 
 
 def test_enumerate_free_filter(capsys):

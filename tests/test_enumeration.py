@@ -8,7 +8,9 @@ import random
 
 from helpers import (
     all_augmentations,
+    brute_force_automorphisms,
     brute_force_class_key,
+    delete_with_cleanup,
     graphs_on,
     labeled_graphs_with_edges,
     random_connected_graph,
@@ -41,7 +43,6 @@ from spectheta import (
 from spectheta import enumeration
 from spectheta.enumeration import (
     _augmentations,
-    _delete_with_cleanup,
     _lambda_square_bound,
     _subtree,
     canonical_edge,
@@ -120,17 +121,6 @@ def test_pairwise_non_isomorphic_under_networkx():
             buckets[key].append(h)
 
 
-def _first_per_certificate(children):
-    seen = set()
-    out = []
-    for child, edge in children:
-        cert = canonical_label(child).data
-        if cert not in seen:
-            seen.add(cert)
-            out.append((child, edge))
-    return out
-
-
 def _carries_least_pair(child, edge):
     # The added edge's sorted degree pair is least, from the child's own degrees.
     deg = [row.bit_count() for row in child.adj]
@@ -138,34 +128,34 @@ def _carries_least_pair(child, edge):
     return tuple(sorted(deg[x] for x in edge)) == min(pairs)
 
 
-def _twins(g, u, v):
-    return g.adj[u] == g.adj[v] or g.adj[u] ^ g.adj[v] == (1 << u) | (1 << v)
+def _degree_pair(g, edge):
+    return tuple(sorted(g.degree(x) for x in edge))
 
 
-def _twin_lead(g, a, b):
-    # Each old endpoint is the least of its twin class, or b is second to its twin a.
-    def rank(v):
-        return sum(1 for u in range(v) if _twins(g, u, v))
-
-    if a >= g.n:
-        return True
-    if b >= g.n:
-        return rank(a) == 0
-    return rank(a) == 0 and (rank(b) == 0 or (rank(b) == 1 and _twins(g, a, b)))
+def _image(perm, edge):
+    # A vertex past the permutation (a new one) is fixed.
+    a, b = (perm[x] if x < len(perm) else x for x in edge)
+    return (a, b) if a < b else (b, a)
 
 
-def test_twin_augmentations_keep_first_child_per_certificate():
+def test_augmentations_keep_first_member_of_each_orbit():
     for n in range(1, 7):
         for g in enumerate_by_order(n):
-            full = [(c, e) for c, e in all_augmentations(g) if _carries_least_pair(c, e)]
+            auts = brute_force_automorphisms(g)
+            # The first least-pair augmentation of each Aut(g)-orbit, in loop
+            # order, with orbits taken over every automorphism.
+            want = []
+            claimed = set()
+            for child, edge in all_augmentations(g):
+                if _carries_least_pair(child, edge) and edge not in claimed:
+                    claimed |= {_image(perm, edge) for perm in auts}
+                    want.append((child, edge))
             got = list(_augmentations(g, MAX_N, MAX_N))
-            # Exactly the least-pair augmentations with twin-lead endpoints, in loop order.
-            assert [(a, b) for a, b, _ in got] == [e for _, e in full if _twin_lead(g, *e)]
-            children = [(Graph(max(g.n, b + 1), list(g.edges()) + [(a, b)]), (a, b))
-                        for a, b, _ in got]
-            assert _first_per_certificate(children) == _first_per_certificate(full)
-            for (child, _), (_, _, count) in zip(children, got):
+            assert [(a, b) for a, b, _, _ in got] == [edge for _, edge in want]
+            for (child, edge), (_, _, count, sole) in zip(want, got):
                 assert count == child.component_count()
+                pair = _degree_pair(child, edge)
+                assert sole == (sum(_degree_pair(child, e) == pair for e in child.edges()) == 1)
             for limit in range(1, g.component_count() + 2):
                 assert list(_augmentations(g, limit, MAX_N)) == [t for t in got if t[2] <= limit]
             # The order limit keeps only the non-edges at g.n; g.n + 1 adds the pendants.
@@ -184,7 +174,7 @@ def test_least_pair_filter_drops_only_rejected_children():
             kept = []
             for child, edge in all_augmentations(g):
                 u, v = canonical_edge(child)
-                accepted = canonical_label(_delete_with_cleanup(child, u, v)).data == cert
+                accepted = canonical_label(delete_with_cleanup(child, u, v)).data == cert
                 if _carries_least_pair(child, edge):
                     kept.append((child, accepted))
                 else:
@@ -197,9 +187,9 @@ def test_least_pair_filter_drops_only_rejected_children():
                     seen.add(ccert)
                     if accepted:
                         want.append(child)
-            nodes = _subtree(g, cert, g.component_count(), m + 1, False, None, MAX_N)
+            nodes = _subtree(g, g.component_count(), m + 1, False, None, MAX_N)
             assert next(nodes)[0] == g
-            assert [child for child, _, _ in nodes] == want
+            assert [child for child, _ in nodes] == want
 
 
 def test_no_duplicates_and_basic_shape():

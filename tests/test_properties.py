@@ -19,6 +19,7 @@ from helpers import (  # noqa: E402
 from spectheta import (  # noqa: E402
     Graph,
     ThetaSpec,
+    automorphism_generators,
     book,
     canonical_edge,
     canonical_form,
@@ -72,6 +73,32 @@ def test_canonical_edge_least_pair_and_orbit_stable(case):
     h = relabeled(g, perm)
     x, y = canonical_edge(h)
     assert canonical_label(h.without_edge(x, y)) == canonical_label(g.without_edge(u, v))
+
+
+def _vertex_orbits(g):
+    # The orbits of the group the generators give, by union-find.
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for perm in automorphism_generators(g):
+        for v in range(g.n):
+            root[find(v)] = find(perm[v])
+    orbits = {}
+    for v in range(g.n):
+        orbits.setdefault(find(v), set()).add(v)
+    return {frozenset(orbit) for orbit in orbits.values()}
+
+
+@settings(deadline=None)
+@given(graphs_with_relabelling())
+def test_vertex_orbits_follow_relabelling(case):
+    g, perm = case
+    want = {frozenset(perm[v] for v in orbit) for orbit in _vertex_orbits(g)}
+    assert _vertex_orbits(relabeled(g, perm)) == want
 
 
 @settings(deadline=None)
