@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph, _induced_rows
 
 
 @dataclass(frozen=True)
@@ -169,14 +169,8 @@ def _canonical_pieces(g: Graph):
             # One component spans the graph, so its local rows are g's own.
             bits, order, ties = _component_canonical(g.adj, k)
         else:
-            pos = {v: i for i, v in enumerate(comp)}
-            local = [0] * k
-            for i, v in enumerate(comp):
-                row = 0
-                for w in bit_indices(g.adj[v]):
-                    row |= 1 << pos[w]
-                local[i] = row
-            bits, local_order, ties = _component_canonical(tuple(local), k)
+            local = tuple(_induced_rows(g.adj, comp))
+            bits, local_order, ties = _component_canonical(local, k)
             order = tuple(comp[i] for i in local_order)
         nbytes = (k * (k - 1) // 2 + 7) // 8
         cert = k.to_bytes(2, "big") + bits.to_bytes(nbytes, "big")
@@ -200,15 +194,7 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labeled copy; identical for all relabelings of g."""
-    order = canonical_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for w in bit_indices(g.adj[v]):
-            row |= 1 << pos[w]
-        rows[pos[v]] = row
-    return Graph._from_rows(rows)
+    return Graph._from_rows(_induced_rows(g.adj, canonical_order(g)))
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:

@@ -26,6 +26,20 @@ def vertex_mask(vertices) -> int:
     return m
 
 
+def _induced_rows(adj, order) -> list[int]:
+    """Adjacency rows of the subgraph induced on order, a sequence of distinct
+    vertices, with vertex order[i] renamed i."""
+    pos = {v: i for i, v in enumerate(order)}
+    keep = vertex_mask(order)
+    rows = []
+    for v in order:
+        row = 0
+        for w in bit_indices(adj[v] & keep):
+            row |= 1 << pos[w]
+        rows.append(row)
+    return rows
+
+
 class Graph:
     """Undirected simple graph on dense vertex ids 0..n-1.
 
@@ -137,14 +151,7 @@ class Graph:
         vs = sorted(set(vertices))
         for v in vs:
             self._check_vertex(v)
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        for i, v in enumerate(vs):
-            for w in vs[i + 1:]:
-                if (self.adj[v] >> w) & 1:
-                    rows[i] |= 1 << pos[w]
-                    rows[pos[w]] |= 1 << i
-        return Graph._from_rows(rows)
+        return Graph._from_rows(_induced_rows(self.adj, vs))
 
     def edge_count_between(self, xs, ys) -> int:
         """Number of edges with one endpoint in xs and the other in ys.

@@ -4,19 +4,22 @@ A theta graph with parameters (r, p, q) joins two hub vertices by three
 internally disjoint paths of edge lengths r, p and q.  Detection uses
 subgraph semantics: chords inside witness paths are allowed.
 
-The generation tree asks a narrower yes/no question: g minus one edge is
-theta-free, so does g hold a theta?  `_theta_through_edge` answers it from
-the hub pairs a theta through that edge can have.  For each pair,
-`_theta_by_counting` uses that the length-2 paths between two hubs are
-their common neighbours and are interchangeable: it searches only the
-other paths, then compares the number of common neighbours those paths
-leave unused with the number of length-2 paths it needs.
+Both detectors share one search.  `_hub_pairs` lists the candidate hub
+pairs, the vertices of degree >= 3 taken two at a time in lexicographic
+order, and `_theta_between` searches the three paths of one pair, each by
+ascending neighbour id.  `contains_theta`, which `verify` and `free` use,
+walks every pair and returns the first witness.  The generation tree asks
+a narrower yes/no question: g minus one edge is theta-free, so does g
+hold a theta?  `_theta_through_edge` answers it by walking only the pairs
+a theta through that edge can have.
 
-`contains_theta`, which `verify` and `free` use, still searches every
-path.  Counting could serve it too and make a `verify` of a book or a
-K2,t far faster, but a benchmark `certify` repetition would then last a
-fraction of a second, and the benchmark's speed probe cannot yet take a
-sample inside repetitions that short.  It waits for that fix.
+The length-2 paths between two hubs are their common neighbours and are
+interchangeable, so the search could count them instead of enumerating
+them, which would make a `verify` of a book or a K2,t far faster.  A
+benchmark `certify` repetition would then last a fraction of a second,
+and the benchmark's speed probe cannot yet take a sample inside
+repetitions that short.  Counting waits for that fix, and then changes
+`_theta_between` alone.
 """
 
 from __future__ import annotations
@@ -165,28 +168,15 @@ def _theta_between(g, spec, a, b):
     return None
 
 
-def _theta_by_counting(g, spec, x, y):
-    # Whether hubs x and y carry the theta.  The paths of length other than
-    # two are searched; the length-2 paths are interchangeable common
-    # neighbours, so they are counted among those the search left unused.
-    common = g.adj[x] & g.adj[y]
-    lengths = [length for length in (spec.r, spec.p, spec.q) if length != 2]
-    twos = 3 - len(lengths)
-    if common.bit_count() < twos:
-        return False
-
-    def rest(i, used):
-        if i == len(lengths):
-            return (common & ~used).bit_count() >= twos
-        for inner in _paths(g, x, y, lengths[i], used):
-            mask = used
-            for v in inner:
-                mask |= 1 << v
-            if rest(i + 1, mask):
-                return True
-        return False
-
-    return rest(0, 0)
+def _hub_pairs(g, spec):
+    # Every pair x < y of vertices of degree >= 3, lexicographically; none
+    # when g has fewer vertices or edges than the theta.
+    if g.n < spec.order or g.m < spec.size:
+        return
+    hubs = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
+    for i, x in enumerate(hubs):
+        for y in hubs[i + 1:]:
+            yield x, y
 
 
 def _theta_through_edge(g: Graph, spec: ThetaSpec, a: int, b: int) -> bool:
@@ -196,25 +186,18 @@ def _theta_through_edge(g: Graph, spec: ThetaSpec, a: int, b: int) -> bool:
     theta can have are tested.  A degree-1 endpoint lies on no cycle, so
     pendant and fresh-edge additions never close one.  When q <= 3, every
     edge of a theta meets a hub except the middle edge of a length-3 path,
-    so the hubs are a or b with any vertex, or one neighbour of a and one
-    of b; longer paths leave every eligible pair.
+    so a hub is a or b, or one hub is a neighbour of a and the other of b;
+    longer paths leave every pair.
     """
-    adj = g.adj
-    if adj[a].bit_count() < 2 or adj[b].bit_count() < 2:
+    na, nb = g.adj[a], g.adj[b]
+    if na.bit_count() < 2 or nb.bit_count() < 2:
         return False
-    if g.n < spec.order or g.m < spec.size:
-        return False
-    eligible = [v for v in range(g.n) if adj[v].bit_count() >= 3]
+    pairs = _hub_pairs(g, spec)
     if spec.q <= 3:
-        emask = 0
-        for v in eligible:
-            emask |= 1 << v
-        hubs = [(x, y) for x in (a, b) if (emask >> x) & 1 for y in eligible if y != x]
-        hubs += [(x, y) for x in bit_indices(adj[a] & emask)
-                 for y in bit_indices(adj[b] & emask) if y != x]
-    else:
-        hubs = [(x, y) for i, x in enumerate(eligible) for y in eligible[i + 1:]]
-    return any(_theta_by_counting(g, spec, x, y) for x, y in hubs)
+        pairs = ((x, y) for x, y in pairs
+                 if a in (x, y) or b in (x, y)
+                 or (na >> x) & (nb >> y) & 1 or (nb >> x) & (na >> y) & 1)
+    return any(_theta_between(g, spec, x, y) is not None for x, y in pairs)
 
 
 def contains_theta(g: Graph, spec: ThetaSpec):
@@ -223,21 +206,12 @@ def contains_theta(g: Graph, spec: ThetaSpec):
     Hub pairs are scanned in increasing lexicographic order and paths by
     ascending neighbor id, so repeated runs return the same witness.
     """
-    if g.n < spec.order or g.m < spec.size:
-        return None
-    eligible = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
-    if len(eligible) < 2:
-        return None
-    emask = 0
-    for v in eligible:
-        emask |= 1 << v
-    for a in eligible:
-        for b in bit_indices(emask >> (a + 1)):
-            w = _theta_between(g, spec, a, a + 1 + b)
-            if w is not None:
-                if not validate_witness(g, spec, w):
-                    raise RuntimeError(f"internal error: invalid witness {w} for {spec}")
-                return w
+    for a, b in _hub_pairs(g, spec):
+        w = _theta_between(g, spec, a, b)
+        if w is not None:
+            if not validate_witness(g, spec, w):
+                raise RuntimeError(f"internal error: invalid witness {w} for {spec}")
+            return w
     return None
 
 

@@ -121,6 +121,24 @@ def test_label_of_disjoint_union_independent_of_caches(first, second, data):
     assert warm[1] == canonical_form(union)
 
 
+@st.composite
+def graphs_with_vertex_lists(draw):
+    # A graph and a list of its vertices, unsorted and with repeats.
+    g = draw(random_graphs(min_n=1, max_n=10))
+    return g, draw(st.lists(st.integers(min_value=0, max_value=g.n - 1), max_size=2 * g.n))
+
+
+@settings(deadline=None)
+@given(graphs_with_vertex_lists())
+@example((book(3), [4, 1, 4, 2]))  # hub 0 stays outside, next to every kept vertex
+def test_induced_matches_networkx_subgraph(case):
+    nx = pytest.importorskip("networkx")
+    g, vs = case
+    keep = sorted(set(vs))
+    want = nx.relabel_nodes(to_networkx(g).subgraph(keep), {v: i for i, v in enumerate(keep)})
+    assert g.induced(vs) == Graph(len(keep), list(want.edges()))
+
+
 @settings(deadline=None)
 @given(random_graphs(max_n=70))
 @example(Graph(63))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -204,3 +206,21 @@ def test_theta_through_edge_matches_detector_on_every_small_child():
                 cases += 1
                 positives += want
     assert (cases, positives) == (82_855, 7_421)
+
+
+# sha256 of one line per (spec, graph), specs outermost: the first witness
+# as JSON, or "-" for a free graph.  2,053 of the 3,738 lines are witnesses.
+FIRST_WITNESS_DIGEST = "9b04aee9db8ce43b5b5affb1161b9f68f62aed564b6169b2fc73c4edb69c6c9c"
+
+
+def test_first_witnesses_are_pinned():
+    rng = random.Random(29)
+    corpus = [random_connected_graph(rng, max_n=12) for _ in range(600)]
+    corpus += [book(k) for k in range(1, 13)] + [complete_bipartite(2, t) for t in range(2, 13)]
+    lines = []
+    for r, p, q in ((2, 2, 3), (2, 2, 2), (1, 2, 2), (1, 2, 3), (3, 3, 3), (2, 3, 3)):
+        for g in corpus:
+            w = contains_theta(g, ThetaSpec(r, p, q))
+            lines.append("-\n" if w is None else json.dumps(w.to_json()) + "\n")
+    assert sum(line != "-\n" for line in lines) == 2_053
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == FIRST_WITNESS_DIGEST
