@@ -32,10 +32,10 @@ the twin swaps from `twin_classes` instead of storing them.
 Two bounded caches keep the generation tree from labelling twice what it
 has labelled once.  `_canonical_pieces` is keyed on the whole `Graph` (its
 vertex count and adjacency rows).  `_component_canonical` is keyed on one
-component's local adjacency rows and its order k, so a child that keeps a
-component of its parent row for row reuses that component's search.  Both
-outputs, ties included, are pure functions of their keys, so neither cache
-can change a certificate, an order or a generator.  The ties of a
+component's local adjacency rows, so a child that keeps a component of its
+parent row for row reuses that component's search.  Both outputs, ties
+included, are pure functions of their keys, so neither cache can change a
+certificate, an order or a generator.  The ties of a
 component with no tied leaf are one shared empty tuple.
 """
 
@@ -102,7 +102,7 @@ def twin_classes(adj, vertices) -> list[list[int]]:
 
 
 @lru_cache(maxsize=65536)
-def _component_canonical(adj: tuple[int, ...], k: int):
+def _component_canonical(adj: tuple[int, ...]):
     """Least adjacency bit string over refinement-compatible orderings.
 
     adj holds the k local rows of one connected component.  Returns
@@ -112,6 +112,7 @@ def _component_canonical(adj: tuple[int, ...], k: int):
     that met the least string, as a permutation of canonical positions
     (the vertex at position i goes to position tie[i]).
     """
+    k = len(adj)
     total_bits = k * (k - 1) // 2
     best_bits = None
     best_order = None
@@ -167,10 +168,10 @@ def _canonical_pieces(g: Graph):
         k = len(comp)
         if k == g.n:
             # One component spans the graph, so its local rows are g's own.
-            bits, order, ties = _component_canonical(g.adj, k)
+            bits, order, ties = _component_canonical(g.adj)
         else:
             local = tuple(_induced_rows(g.adj, comp))
-            bits, local_order, ties = _component_canonical(local, k)
+            bits, local_order, ties = _component_canonical(local)
             order = tuple(comp[i] for i in local_order)
         nbytes = (k * (k - 1) // 2 + 7) // 8
         cert = k.to_bytes(2, "big") + bits.to_bytes(nbytes, "big")

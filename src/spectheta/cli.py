@@ -206,8 +206,7 @@ def _cmd_verify(args) -> int:
             )
         ok = cert["theta_free"]
         if ok and cert["lambda"] is not None and cert["bound"] is not None:
-            ok = (cert["lambda"] <= cert["bound"] + COMPARISON_TOL
-                  or cert["equality_case"]["claimed"])
+            ok = cert["lambda"] <= cert["bound"] + COMPARISON_TOL
         if ok and cert["equality_case"]["claimed"]:
             ok = cert["equality_case"]["iso_to_book"]
         if not ok:

@@ -44,15 +44,17 @@ pair is the child labelled, by `canonical_edge`, and the orbit of e under
 the child's generators decides.  No sibling is labelled for a duplicate
 check, and no deletion is labelled.  Component counts of the children
 come from the parent's components, so a child that the connected-only
-prune drops is never built.
+prune drops is never built.  That prune keeps a child only if the edges
+still to add can join its components, so with connected_only every node
+with m edges is connected.
 
 With a theta to avoid, a subtree is pruned at its first node that
 contains it, which loses no free class because containment is kept by
-adding edges and vertices.  Every node the tree descends from is then
-theta-free, so a child holds a theta iff one runs through the added edge
-(a, b), and `theta._theta_through_edge` tests only the hub pairs such a
-theta can have.  Pendant and fresh-edge children, whose added edge has a
-degree-1 end, are never tested.
+adding edges and vertices.  A child is tested with `contains_theta` only
+when its added edge joins two vertices of the parent.  Tree nodes have no
+isolated vertices, so both ends of such an edge end with degree >= 2.  A
+pendant or fresh edge gives its new vertex degree one, so the edge lies on
+no cycle and hence on no theta, and the child of a free parent is free.
 
 The same tree enumerates by order: walked with an order limit of n and no
 edge limit short of the complete graph, every node is a class on at most n
@@ -75,7 +77,7 @@ from .canon import (
 from .graph6 import to_graph6
 from .graphs import MAX_N, Graph, bit_indices, complete
 from .spectral import COMPARISON_TOL, bound_value, spectral_radius
-from .theta import ThetaSpec, _theta_through_edge
+from .theta import ThetaSpec, contains_theta
 
 DEFAULT_EDGE_BUDGET = 12
 ORDER_BUDGET = 8
@@ -135,15 +137,14 @@ def _orbit(a: int, b: int, gens) -> set:
 def _augmentations(g: Graph, max_components: int, max_order: int):
     """One augmentation of g per Aut(g)-orbit worth building.
 
-    Yields (a, b, components, sole): the added edge (a, b), with b the
-    largest vertex of the child, the child's component count, and whether
-    the added edge is the only edge of the child with its degree pair.  An
-    orbit is kept only if the child has at most max_components components
-    and max_order vertices and the added edge carries the least sorted
-    degree pair of the child; all three are the same across an orbit.  Of
-    each kept orbit, only the member first in the full augmentation loop
-    is yielded (non-edges by (u, v), pendants by u, then the fresh
-    disjoint edge), in that order.
+    Yields (a, b, sole): the added edge (a, b), with b the largest vertex
+    of the child, and whether the added edge is the only edge of the child
+    with its degree pair.  An orbit is kept only if the child has at most
+    max_components components and max_order vertices and the added edge
+    carries the least sorted degree pair of the child; all three are the
+    same across an orbit.  Of each kept orbit, only the member first in
+    the full augmentation loop is yielded (non-edges by (u, v), pendants
+    by u, then the fresh disjoint edge), in that order.
 
     Two cuts run before any orbit is walked.  An endpoint must be the
     least member of its twin class, or the second least when both share a
@@ -202,20 +203,22 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
                 if count <= max_components:
                     sole = pair_test(u, v)
                     if sole is not None:
-                        yield u, v, count, sole
+                        yield u, v, sole
         if n + 1 <= max_order and c <= max_components:
             for u in bit_indices(lead):
                 sole = pair_test(u, n)
                 if sole is not None:
-                    yield u, n, c, sole
+                    yield u, n, sole
 
     gens = None
     claimed = set()
     last = None  # the last survivor yielded, its orbit not yet claimed
-    for a, b, count, sole in survivors():
+    for a, b, sole in survivors():
         if last is not None:
             if gens is None:
-                # The label fills the cache that automorphism_generators reads.
+                # automorphism_generators would label g itself.  Labelling
+                # it here first puts that work under the `canon.label` span
+                # that perfbench/tracing.py hooks on canonical_label.
                 canonical_label(g)
                 gens = automorphism_generators(g)
             claimed |= _orbit(*last, gens)
@@ -223,22 +226,21 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
         if (a, b) in claimed:
             continue
         last = a, b
-        yield a, b, count, sole
+        yield a, b, sole
     # The fresh edge is an orbit of its own, and no edge undercuts its pair (1, 1).
     if n + 2 <= max_order and c + 1 <= max_components:
-        yield n, n + 1, c + 1, pair_test(n, n + 1)
+        yield n, n + 1, pair_test(n, n + 1)
 
 
-def _subtree(g: Graph, components: int, m: int, connected_only: bool, prune_spec,
-             max_order: int):
-    # Every node, depth first, down to m edges: (graph, component count).
-    yield g, components
+def _subtree(g: Graph, m: int, connected_only: bool, prune_spec, max_order: int):
+    # Every node, depth first, down to m edges.
+    yield g
     level = g.m
     if level == m:
         return
     # Each edge still to add merges at most two components.
     max_components = m - level if connected_only else MAX_N
-    for a, b, child_components, sole in _augmentations(g, max_components, max_order):
+    for a, b, sole in _augmentations(g, max_components, max_order):
         rows = list(g.adj) + [0] * (b + 1 - g.n)
         rows[a] |= 1 << b
         rows[b] |= 1 << a
@@ -250,21 +252,17 @@ def _subtree(g: Graph, components: int, m: int, connected_only: bool, prune_spec
             edge = canonical_edge(child)
             if edge != (a, b) and edge not in _orbit(a, b, automorphism_generators(child)):
                 continue
-        # g is theta-free (or it would have been pruned), so only a theta
-        # through the added edge is looked for.
-        if prune_spec is not None and _theta_through_edge(child, prune_spec, a, b):
+        # g is theta-free (or it would have been pruned), and an added edge
+        # with a new end lies on no cycle.
+        if prune_spec is not None and b < g.n and contains_theta(child, prune_spec) is not None:
             continue
-        yield from _subtree(child, child_components, m, connected_only, prune_spec, max_order)
-
-
-def _walk(m: int, connected_only: bool, prune_spec, max_order: int):
-    return _subtree(complete(2), 1, m, connected_only, prune_spec, max_order)
+        yield from _subtree(child, m, connected_only, prune_spec, max_order)
 
 
 def _stream(m: int, connected_only: bool, prune_spec):
     # The classes with exactly m edges, connected ones only when asked.
-    for g, components in _walk(m, connected_only, prune_spec, MAX_N):
-        if g.m == m and (not connected_only or components == 1):
+    for g in _subtree(complete(2), m, connected_only, prune_spec, MAX_N):
+        if g.m == m:
             yield g
 
 
@@ -312,7 +310,7 @@ def enumerate_by_order(n: int):
     yield Graph(n)
     if n < 2:
         return
-    for g, _ in _walk(n * (n - 1) // 2, False, None, n):
+    for g in _subtree(complete(2), n * (n - 1) // 2, False, None, n):
         yield Graph._from_rows(g.adj + (0,) * (n - g.n))
 
 
@@ -331,16 +329,14 @@ def _lambda_square_bound(g: Graph) -> int:
 
 
 def _rank(a, b):
-    # Larger lambda first; ties within tolerance break toward smaller order,
-    # then lexicographically least certificate.
+    # Larger lambda first; ties within tolerance break toward the least
+    # certificate, which begins with the order, so the smaller order wins.
     if a[0] > b[0] + COMPARISON_TOL:
         return -1
     if b[0] > a[0] + COMPARISON_TOL:
         return 1
     if a[1] != b[1]:
         return -1 if a[1] < b[1] else 1
-    if a[2] != b[2]:
-        return -1 if a[2] < b[2] else 1
     return 0
 
 
@@ -427,7 +423,7 @@ def extremal_search(m: int, spec: ThetaSpec, *,
         # The canonical form, not the tree's representative, so that the
         # record depends on the class set alone.
         h = canonical_form(g)
-        entry = (spectral_radius(h).lam, h.n, canonical_label(g).data, h)
+        entry = (spectral_radius(h).lam, canonical_label(g).data, h)
         i = 0
         while i < len(top) and _rank(entry, top[i]) >= 0:
             i += 1
@@ -439,11 +435,11 @@ def extremal_search(m: int, spec: ThetaSpec, *,
     if not top:
         raise RuntimeError(f"no {spec}-free class with {m} edges; this cannot happen for m >= 1")
     best = top[0]
-    runner_ups = tuple((to_graph6(e[3]), e[0]) for e in top[1:])
+    runner_ups = tuple((to_graph6(e[2]), e[0]) for e in top[1:])
     return ExtremalRecord(
         m=m,
         spec=spec,
-        best_graph=best[3],
+        best_graph=best[2],
         best_lambda=best[0],
         num_candidates=count,
         runner_ups=runner_ups,

@@ -4,14 +4,11 @@ A theta graph with parameters (r, p, q) joins two hub vertices by three
 internally disjoint paths of edge lengths r, p and q.  Detection uses
 subgraph semantics: chords inside witness paths are allowed.
 
-Both detectors share one search.  `_hub_pairs` lists the candidate hub
-pairs, the vertices of degree >= 3 taken two at a time in lexicographic
-order, and `_theta_between` searches the three paths of one pair, each by
-ascending neighbour id.  `contains_theta`, which `verify` and `free` use,
-walks every pair and returns the first witness.  The generation tree asks
-a narrower yes/no question: g minus one edge is theta-free, so does g
-hold a theta?  `_theta_through_edge` answers it by walking only the pairs
-a theta through that edge can have.
+`contains_theta` is the one detector, used by `verify`, `free` and the
+generation tree's prune.  It takes the vertices of degree >= 3 two at a
+time, in lexicographic order, as hub pairs, and `_theta_between` searches
+the three paths of one pair, each by ascending neighbour id.  The first
+witness found is returned.
 
 The length-2 paths between two hubs are their common neighbours and are
 interchangeable, so the search could count them instead of enumerating
@@ -168,50 +165,24 @@ def _theta_between(g, spec, a, b):
     return None
 
 
-def _hub_pairs(g, spec):
-    # Every pair x < y of vertices of degree >= 3, lexicographically; none
-    # when g has fewer vertices or edges than the theta.
-    if g.n < spec.order or g.m < spec.size:
-        return
-    hubs = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
-    for i, x in enumerate(hubs):
-        for y in hubs[i + 1:]:
-            yield x, y
-
-
-def _theta_through_edge(g: Graph, spec: ThetaSpec, a: int, b: int) -> bool:
-    """Whether g contains the theta, given that g minus its edge (a, b) does not.
-
-    Every theta of g then runs through (a, b), so only the hub pairs such a
-    theta can have are tested.  A degree-1 endpoint lies on no cycle, so
-    pendant and fresh-edge additions never close one.  When q <= 3, every
-    edge of a theta meets a hub except the middle edge of a length-3 path,
-    so a hub is a or b, or one hub is a neighbour of a and the other of b;
-    longer paths leave every pair.
-    """
-    na, nb = g.adj[a], g.adj[b]
-    if na.bit_count() < 2 or nb.bit_count() < 2:
-        return False
-    pairs = _hub_pairs(g, spec)
-    if spec.q <= 3:
-        pairs = ((x, y) for x, y in pairs
-                 if a in (x, y) or b in (x, y)
-                 or (na >> x) & (nb >> y) & 1 or (nb >> x) & (na >> y) & 1)
-    return any(_theta_between(g, spec, x, y) is not None for x, y in pairs)
-
-
 def contains_theta(g: Graph, spec: ThetaSpec):
     """First theta witness in deterministic order, or None.
 
     Hub pairs are scanned in increasing lexicographic order and paths by
-    ascending neighbor id, so repeated runs return the same witness.
+    ascending neighbor id, so repeated runs return the same witness.  The
+    hubs are the vertices of degree >= 3; a graph with fewer vertices or
+    edges than the theta has none to test.
     """
-    for a, b in _hub_pairs(g, spec):
-        w = _theta_between(g, spec, a, b)
-        if w is not None:
-            if not validate_witness(g, spec, w):
-                raise RuntimeError(f"internal error: invalid witness {w} for {spec}")
-            return w
+    if g.n < spec.order or g.m < spec.size:
+        return None
+    hubs = [v for v in range(g.n) if g.adj[v].bit_count() >= 3]
+    for i, a in enumerate(hubs):
+        for b in hubs[i + 1:]:
+            w = _theta_between(g, spec, a, b)
+            if w is not None:
+                if not validate_witness(g, spec, w):
+                    raise RuntimeError(f"internal error: invalid witness {w} for {spec}")
+                return w
     return None
 
 

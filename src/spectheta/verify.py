@@ -169,8 +169,7 @@ class LemmaChecklist:
         return [e.to_json() for e in self.entries]
 
 
-def check_lemma_conclusions(g: Graph, report: DecompositionReport,
-                            res: SpectralResult) -> LemmaChecklist:
+def check_lemma_conclusions(g: Graph, report: DecompositionReport) -> LemmaChecklist:
     """Evaluate each maximizer-structure conclusion on this concrete graph.
 
     Requires a connected graph that is free of the (2,2,3) theta; on

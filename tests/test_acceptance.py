@@ -211,7 +211,7 @@ def test_c8_lemma_checklist_on_maximizers():
         rec = extremal_search(m, SPEC_223)
         g = rec.best_graph
         res = spectral_radius(g)
-        checklist = check_lemma_conclusions(g, decompose(g, res), res)
+        checklist = check_lemma_conclusions(g, decompose(g, res))
         assert rec.best_graph6 == row["best_graph6"], f"m={m}"
         assert rec.num_candidates == row["num_candidates"], f"m={m}"
         assert checklist.all_hold == row["all_hold"], f"m={m}"
@@ -222,7 +222,7 @@ def test_c8_lemma_checklist_on_maximizers():
     for k in range(1, 51):
         g = book(k)
         res = spectral_radius(g)
-        checklist = check_lemma_conclusions(g, decompose(g, res), res)
+        checklist = check_lemma_conclusions(g, decompose(g, res))
         assert checklist.all_hold, f"book({k})"
     failing = [row["m"] for row in archived if not row["all_hold"]]
     elapsed = time.time() - start

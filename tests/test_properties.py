@@ -34,7 +34,6 @@ from spectheta import (  # noqa: E402
 )
 from spectheta.canon import _canonical_pieces, _component_canonical  # noqa: E402
 from spectheta.spectral import triangle_free  # noqa: E402
-from spectheta.theta import _theta_through_edge  # noqa: E402
 from spectheta.verify import has_long_cycle  # noqa: E402
 
 
@@ -162,18 +161,19 @@ def test_theta_witness_valid_and_matches_oracle(g, spec):
 
 
 @settings(deadline=None)
-@given(random_graphs(min_n=2, max_n=8, min_edges=1), st.data(),
+@given(random_graphs(min_n=1, max_n=8), st.data(),
        st.sampled_from([ThetaSpec(2, 2, 3), ThetaSpec(2, 2, 2), ThetaSpec(1, 2, 2),
                         ThetaSpec(3, 3, 3), ThetaSpec(2, 2, 4)]))
-def test_theta_through_edge_matches_oracle(g, data, spec):
-    # Thin g minus one edge (a, b) to a theta-free parent by deleting a
-    # witness edge at a time, then put (a, b) back.
-    a, b = data.draw(st.sampled_from(list(g.edges())))
-    parent = g.without_edge(a, b)
+def test_pendant_child_of_free_parent_is_free(g, data, spec):
+    # Thin g to a theta-free parent by deleting a witness edge at a time,
+    # then hang a new vertex on one of its vertices: a degree-1 vertex lies
+    # on no theta, so the child stays free.
+    parent = g
     while (w := contains_theta(parent, spec)) is not None:
         parent = parent.without_edge(*w.paths[0][:2])
-    child = parent.with_edge(a, b)
-    assert _theta_through_edge(child, spec, a, b) == oracle_contains_theta(child, spec)
+    u = data.draw(st.integers(min_value=0, max_value=parent.n - 1))
+    child = Graph(parent.n + 1, list(parent.edges()) + [(u, parent.n)])
+    assert not oracle_contains_theta(child, spec)
 
 
 @settings(deadline=None)

@@ -120,7 +120,7 @@ def test_checklist_on_books():
     for k in (1, 2, 5, 28):
         g = book(k)
         res = spectral_radius(g)
-        checklist = check_lemma_conclusions(g, decompose(g, res), res)
+        checklist = check_lemma_conclusions(g, decompose(g, res))
         assert checklist.all_hold
         assert len(checklist.entries) == 8
 
@@ -128,7 +128,7 @@ def test_checklist_on_books():
 def test_checklist_vacuous_on_star():
     g = star(6)
     res = spectral_radius(g)
-    checklist = check_lemma_conclusions(g, decompose(g, res), res)
+    checklist = check_lemma_conclusions(g, decompose(g, res))
     assert checklist.all_hold
 
 
@@ -137,7 +137,7 @@ def test_checklist_rejects_non_free_input():
     res = spectral_radius(g)
     rep = decompose(g, res)
     with pytest.raises(ValueError):
-        check_lemma_conclusions(g, rep, res)
+        check_lemma_conclusions(g, rep)
 
 
 def test_checklist_reports_failures_with_witnesses():
@@ -146,7 +146,7 @@ def test_checklist_reports_failures_with_witnesses():
     # must report rather than hide.
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
     res = spectral_radius(g)
-    checklist = check_lemma_conclusions(g, decompose(g, res), res)
+    checklist = check_lemma_conclusions(g, decompose(g, res))
     by_id = {e.id: e for e in checklist.entries}
     assert not by_id["no_triangle_component"].holds
     assert by_id["no_triangle_component"].witness is not None
