@@ -56,6 +56,21 @@ isolated vertices, so both ends of such an edge end with degree >= 2.  A
 pendant or fresh edge gives its new vertex degree one, so the edge lies on
 no cycle and hence on no theta, and the child of a free parent is free.
 
+`enumerate_by_edges` walks only the connected-only tree.  A graph with no
+isolated vertices is fixed up to isomorphism by the multiset of the classes
+of its components: an isomorphism maps components onto isomorphic
+components, and isomorphisms between matched components combine into one
+between the unions.  So the disconnected classes with m edges are exactly
+the multisets of at least two connected classes whose edge counts add up
+to m, and each is yielded once, as the disjoint union of the tree's
+representatives, after the connected ones.  The connected-only tree with
+edge limit m holds every connected class with fewer edges as well: a
+deletion raises the component count by at most one, so the ancestor with j
+edges of a connected class with k <= m edges has at most k - j + 1 <=
+m - j + 1 components, which the prune allows.  With a theta to avoid, the
+composition needs nothing more: a theta is connected, so it lies inside one
+component, and a union is free iff each of its components is.
+
 The same tree enumerates by order: walked with an order limit of n and no
 edge limit short of the complete graph, every node is a class on at most n
 vertices without isolated vertices, and padding it with isolated vertices
@@ -259,11 +274,39 @@ def _subtree(g: Graph, m: int, connected_only: bool, prune_spec, max_order: int)
         yield from _subtree(child, m, connected_only, prune_spec, max_order)
 
 
+def _multisets(total: int, largest, counts):
+    # Every multiset of (size, index) pairs whose sizes add up to total, each
+    # written once as a non-increasing tuple whose first pair is at most
+    # largest; counts[k] is the number of indices of size k.
+    if total == 0:
+        yield ()
+        return
+    size, index = largest
+    for k in range(min(size, total), 0, -1):
+        for i in range(index + 1 if k == size else counts[k]):
+            for rest in _multisets(total - k, (k, i), counts):
+                yield ((k, i),) + rest
+
+
 def _stream(m: int, connected_only: bool, prune_spec):
-    # The classes with exactly m edges, connected ones only when asked.
-    for g in _subtree(complete(2), m, connected_only, prune_spec, MAX_N):
+    # The classes with exactly m edges: the connected ones in tree order, then
+    # unless connected_only the disjoint unions of smaller connected ones.
+    smaller = [[] for _ in range(m)]
+    for g in _subtree(complete(2), m, True, prune_spec, MAX_N):
         if g.m == m:
             yield g
+        elif not connected_only and g.is_connected():
+            smaller[g.m].append(g)
+    if connected_only:
+        return
+    counts = [len(graphs) for graphs in smaller]
+    # Parts of at most m - 1 edges make at least two components.
+    for parts in _multisets(m, (m - 1, counts[m - 1] - 1), counts):
+        rows = []
+        for k, i in parts:
+            shift = len(rows)
+            rows += [row << shift for row in smaller[k][i].adj]
+        yield Graph._from_rows(rows)
 
 
 def _check_edge_budget(m: int, budget: int):
@@ -282,10 +325,13 @@ def enumerate_by_edges(m: int, connected_only: bool = False, *,
     """One representative per isomorphism class with m edges and no isolated vertices.
 
     The order n of the yielded graphs floats over every feasible value
-    (2..2m).  With connected_only, only connected classes are yielded.
-    With free, only classes free of that theta are yielded; subtrees rooted
-    at a graph containing it are pruned, which loses no free class because
-    containment is kept by adding edges and vertices.
+    (2..2m).  The connected classes come first, in the order of the
+    generation tree, and they are all that is yielded with connected_only.
+    Then come the disconnected ones, each the disjoint union of one
+    multiset of smaller connected classes, components by non-increasing
+    edge count.  With free, only classes free of that theta are yielded;
+    subtrees rooted at a graph containing it are pruned, which loses no
+    free class because containment is kept by adding edges and vertices.
     """
     _check_edge_budget(m, budget)
     return _stream(m, connected_only, free)

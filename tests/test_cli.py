@@ -67,10 +67,11 @@ def test_enumerate_stream(capsys):
 
 
 # m -> (line count, sha256) of the stdout of `enumerate --edges M`; m = 10 is
-# the benchmark's `enumerate` workload.
+# the benchmark's `enumerate` workload.  The connected classes come first, in
+# tree order, then the disjoint unions of smaller connected ones.
 ENUMERATE_STDOUT_DIGESTS = {
-    8: (497, "8c6195c7d86350d62427ef160eaa2e0921cb00e5b936304beef136b03bc6e3fa"),
-    10: (4613, "a8b0237c067c82b06245a13336041bc0aca472c1b5b4cf52095210ebf402a1d8"),
+    8: (497, "2774464426b92627d65aa9b990753a5c3a444362d45f3b3cead86c02ec050e9d"),
+    10: (4613, "15f20b4b5272bb9e157cf032b55e26a6335a2324be3d2df106b04c1a1ad59ebb"),
 }
 
 
@@ -81,6 +82,19 @@ def test_enumerate_stream_bytes_pinned(capsys):
         assert code == 0
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode()).hexdigest() == want, m
+
+
+# The same for `enumerate --edges 10 --connected`: the connected classes in
+# tree order, unchanged by how the disconnected ones are produced.
+CONNECTED_STDOUT_DIGEST = (2322, "d9ed8085174f9568364a9e26e03537f6b5c77a31bcf7a302803db3a35a60c00a")
+
+
+def test_enumerate_connected_stream_bytes_pinned(capsys):
+    lines, want = CONNECTED_STDOUT_DIGEST
+    code, out, _ = run_cli(capsys, ["enumerate", "--edges", "10", "--connected"])
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_enumerate_free_filter(capsys):

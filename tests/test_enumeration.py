@@ -48,16 +48,17 @@ from spectheta.enumeration import (
     canonical_edge,
 )
 
-# Published counts of graphs with m edges and no isolated vertices, m = 1..10
-# (OEIS A000664), and of the connected ones with 8 to 10 edges (A002905).
-CLASSES_BY_EDGES = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]
-CONNECTED_CLASSES_BY_EDGES = {8: 227, 9: 710, 10: 2322}
+# Published counts of graphs with m edges and no isolated vertices, m = 1..11
+# (OEIS A000664), and of the connected ones with 8 to 11 edges (A002905).
+CLASSES_BY_EDGES = [1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216]
+CONNECTED_CLASSES_BY_EDGES = {8: 227, 9: 710, 10: 2322, 11: 8071}
 
 # (m, connected only) -> (class count, sha256 of the sorted certificates),
 # frozen from the tree that labelled every child before its deletion test.
 CERTIFICATE_SET_DIGESTS = {
     (8, False): (497, "b27313236a7b78e7f502fc05ea5696702d621f51f55a7fe2054df8acc76ce587"),
     (9, True): (710, "e4235894fd39552989e633e64b4fac8a42cb4a549af2799c4c20013c398d62f4"),
+    (10, False): (4613, "9ab9641e5f5b53b7a26b2fcd52d62141b49893acfc888cec85f5c5b436842715"),
 }
 
 # (spec, connected only) -> the same for enumerate_by_edges(9, connected,
@@ -105,6 +106,30 @@ def test_free_certificate_sets_frozen():
         certs = sorted(canonical_label(g).data for g in enumerate_by_edges(9, connected, free=free))
         assert len(certs) == count
         assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
+
+
+def _component_certificates(g):
+    return tuple(sorted(canonical_label(g.induced(c)).data for c in g.components()))
+
+
+def test_disconnected_classes_are_unions_of_connected_ones():
+    # The stream is the connected stream followed by one disconnected line
+    # per multiset of smaller connected classes; under --free every
+    # component of a disconnected line is free.
+    spec = ThetaSpec(2, 2, 3)
+    for m in range(1, 10):
+        for free in (None, spec):
+            lines = list(enumerate_by_edges(m, free=free))
+            connected = list(enumerate_by_edges(m, True, free=free))
+            assert lines[:len(connected)] == connected
+            rest = lines[len(connected):]
+            assert not any(g.is_connected() for g in rest)
+            keys = {_component_certificates(g) for g in rest}
+            assert len(keys) == len(rest)
+            if free is None:
+                assert len(rest) == CLASSES_BY_EDGES[m - 1] - len(connected)
+            else:
+                assert all(is_theta_free(g.induced(c), spec) for g in rest for c in g.components())
 
 
 def test_pairwise_non_isomorphic_under_networkx():
