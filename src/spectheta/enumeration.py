@@ -24,14 +24,13 @@ one representative per class at level k, it then holds one at level k + 1:
   takes e1 to e2: one orbit, and P yields one member of it.
 
 `_augmentations` yields the member of each orbit first in its loop order.
-The twin swaps cut first, with no label: an endpoint that is not the
-least member of its twin class (vertices with equal open or closed
-neighborhoods), or the second least when both share a class, cannot be
-first.  The first survivor needs no label either.  From the second
-survivor on, P is labelled once, and the orbit of each yielded survivor
-is walked under the generators of Aut(P) that labelling leaves in the
-cache (`canon.automorphism_generators`; `canon` shows that they generate
-the whole group).
+It first filters the non-edges and pendants by the component limit, the
+order limit and the degree pair below, none of which needs a label.  When
+two or more pass, P is labelled once, and each that passed is yielded
+unless it lies in the orbit of one yielded before it, walked under the
+generators of Aut(P) that labelling leaves in the cache
+(`canon.automorphism_generators`; `canon` shows that they generate the
+whole group).  A parent with one augmentation left is never labelled.
 
 The degree pair decides most acceptances before any label (the
 invariant-first test of McKay's paper).  Only the two endpoints of e gain
@@ -82,13 +81,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .canon import (
-    automorphism_generators,
-    canonical_form,
-    canonical_label,
-    canonical_order,
-    twin_classes,
-)
+from .canon import automorphism_generators, canonical_form, canonical_label, canonical_order
 from .graph6 import to_graph6
 from .graphs import MAX_N, Graph, bit_indices, complete
 from .spectral import COMPARISON_TOL, bound_value, spectral_radius
@@ -161,13 +154,11 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
     the full augmentation loop is yielded (non-edges by (u, v), pendants
     by u, then the fresh disjoint edge), in that order.
 
-    Two cuts run before any orbit is walked.  An endpoint must be the
-    least member of its twin class, or the second least when both share a
-    class: the first member of an orbit always is, since a swap of twins
-    would otherwise give an earlier member.  And the first survivor is
-    yielded as it is, so a parent with one survivor is never labelled.
-    From the second survivor on, each survivor is dropped if it lies in
-    the orbit of one yielded before it, under generators of Aut(g).
+    The non-edges and pendants are filtered first, with no label.  If two
+    or more pass, g is labelled once, and each is dropped if it lies in
+    the orbit of one yielded before it, under generators of Aut(g).  An
+    orbit is walked only when a later augmentation passed, so a parent
+    with one augmentation left is never labelled.
 
     Only a and b gain one degree, and a new vertex has degree one, so an
     edge of g can undercut or tie the added edge only if its pair in g
@@ -176,12 +167,6 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
     """
     n = g.n
     adj = g.adj
-    lead = 0
-    second = {}
-    for cls in twin_classes(adj, range(n)):
-        lead |= 1 << cls[0]
-        if len(cls) > 1:
-            second[cls[0]] = 1 << cls[1]
     masks = g._component_masks()
     c = len(masks)
     comp = [0] * n
@@ -210,38 +195,30 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
                 sole = False
         return sole
 
-    def survivors():
-        for u in bit_indices(lead):
-            later = (lead | second.get(u, 0)) & ~adj[u] & ~((2 << u) - 1)
-            for v in bit_indices(later):
-                count = c if (comp[u] >> v) & 1 else c - 1
-                if count <= max_components:
-                    sole = pair_test(u, v)
-                    if sole is not None:
-                        yield u, v, sole
-        if n + 1 <= max_order and c <= max_components:
-            for u in bit_indices(lead):
-                sole = pair_test(u, n)
+    passed = []
+    for u in range(n):
+        for v in bit_indices(((1 << n) - (2 << u)) & ~adj[u]):
+            if (c if (comp[u] >> v) & 1 else c - 1) <= max_components:
+                sole = pair_test(u, v)
                 if sole is not None:
-                    yield u, n, sole
-
-    gens = None
+                    passed.append((u, v, sole))
+    if n + 1 <= max_order and c <= max_components:
+        for u in range(n):
+            sole = pair_test(u, n)
+            if sole is not None:
+                passed.append((u, n, sole))
+    if len(passed) > 1:
+        # automorphism_generators would label g itself.  Labelling it here
+        # first puts that work under the `canon.label` span that
+        # perfbench/tracing.py hooks on canonical_label.
+        canonical_label(g)
+        gens = automorphism_generators(g)
     claimed = set()
-    last = None  # the last survivor yielded, its orbit not yet claimed
-    for a, b, sole in survivors():
-        if last is not None:
-            if gens is None:
-                # automorphism_generators would label g itself.  Labelling
-                # it here first puts that work under the `canon.label` span
-                # that perfbench/tracing.py hooks on canonical_label.
-                canonical_label(g)
-                gens = automorphism_generators(g)
-            claimed |= _orbit(*last, gens)
-            last = None
-        if (a, b) in claimed:
-            continue
-        last = a, b
-        yield a, b, sole
+    for i, (a, b, sole) in enumerate(passed):
+        if (a, b) not in claimed:
+            yield a, b, sole
+            if i + 1 < len(passed):
+                claimed |= _orbit(a, b, gens)
     # The fresh edge is an orbit of its own, and no edge undercuts its pair (1, 1).
     if n + 2 <= max_order and c + 1 <= max_components:
         yield n, n + 1, pair_test(n, n + 1)

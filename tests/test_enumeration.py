@@ -22,6 +22,7 @@ from spectheta import (
     BudgetError,
     Graph,
     ThetaSpec,
+    automorphism_generators,
     book,
     bound_value,
     canonical_form,
@@ -191,9 +192,41 @@ def test_augmentations_keep_first_member_of_each_orbit():
             assert list(_augmentations(g, MAX_N, g.n + 1)) == non_edges + pendants
 
 
+def test_augmentations_ask_for_generators_at_most_once(monkeypatch):
+    # Aut(g) is asked for at most once per parent: never when at most one
+    # non-fresh augmentation carries the least pair, and once when those
+    # augmentations span two or more Aut(g)-orbits (taken by brute force).
+    graphs = [g for n in range(1, 7) for g in enumerate_by_order(n)]
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return automorphism_generators(g)
+
+    monkeypatch.setattr(enumeration, "automorphism_generators", counted)
+    cases = Counter()
+    for g in graphs:
+        auts = brute_force_automorphisms(g)
+        least = [edge for child, edge in all_augmentations(g)
+                 if edge[0] < g.n and _carries_least_pair(child, edge)]
+        orbits = {frozenset(_image(perm, edge) for perm in auts) for edge in least}
+        calls.clear()
+        list(_augmentations(g, MAX_N, MAX_N))
+        assert len(calls) <= 1
+        if len(least) <= 1:
+            assert not calls
+            cases["at most one"] += 1
+        elif len(orbits) >= 2:
+            assert len(calls) == 1
+            cases["several orbits"] += 1
+        else:
+            cases["one orbit"] += 1
+    assert cases == {"at most one": 4, "several orbits": 181, "one orbit": 23}
+
+
 def test_least_pair_filter_drops_only_rejected_children():
     # Reference tree step: label every child of the full loop and apply the
-    # full deletion test, with neither the twin nor the pair filter.
+    # full deletion test, with neither the orbit cut nor the pair filter.
     for m in range(1, 8):
         for g in enumerate_by_edges(m):
             cert = canonical_label(g).data
@@ -256,7 +289,8 @@ def test_budget_guard():
 
 
 def test_enumerate_by_order_counts():
-    want = [1, 2, 4, 11, 34, 156]
+    # OEIS A000088.
+    want = [1, 2, 4, 11, 34, 156, 1044]
     for n, count in enumerate(want, start=1):
         graphs = list(enumerate_by_order(n))
         assert len(graphs) == count
@@ -268,7 +302,8 @@ def test_enumerate_by_order_counts():
 
 
 def test_connected_counts_small():
-    for n, want in enumerate([1, 1, 2, 6, 21, 112], start=1):
+    # OEIS A001349.
+    for n, want in enumerate([1, 1, 2, 6, 21, 112, 853], start=1):
         assert count_connected_by_order(n) == want
 
 
