@@ -102,7 +102,6 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="certificate for one graph")
     p.add_argument("graph6", nargs="?")
-    p.add_argument("--spec", type=_spec_arg, default=ThetaSpec(2, 2, 3), metavar="R,P,Q")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("nosal", help="triangle-free bound report")
@@ -187,7 +186,7 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     code = 0
     for g in _input_graphs(args):
-        cert = verify_theorem_instance(g, args.spec)
+        cert = verify_theorem_instance(g)
         if args.json:
             print(json.dumps(cert, indent=2))
         else:
@@ -219,10 +218,7 @@ def _cmd_nosal(args) -> int:
     for g in _input_graphs(args):
         report = check_nosal(g)
         if args.json:
-            out = dict(report)
-            if out["equality_structure"] is not None:
-                out["equality_structure"] = list(out["equality_structure"])
-            print(json.dumps(out))
+            print(json.dumps(report))
         else:
             eq = report["equality_structure"]
             eq_text = f"({eq[0]},{eq[1]})" if eq else "none"

@@ -42,10 +42,10 @@ its child is accepted with no label.  Only when another edge ties the
 pair is the child labelled, by `canonical_edge`, and the orbit of e under
 the child's generators decides.  No sibling is labelled for a duplicate
 check, and no deletion is labelled.  Component counts of the children
-come from the parent's components, so a child that the connected-only
-prune drops is never built.  That prune keeps a child only if the edges
-still to add can join its components, so with connected_only every node
-with m edges is connected.
+come from the parent's components, so a child that the component prune
+drops is never built.  Every walk down to m edges keeps a child only if
+the edges still to add can join its components, so every node with m
+edges is connected.
 
 With a theta to avoid, a subtree is pruned at its first node that
 contains it, which loses no free class because containment is kept by
@@ -55,25 +55,32 @@ isolated vertices, so both ends of such an edge end with degree >= 2.  A
 pendant or fresh edge gives its new vertex degree one, so the edge lies on
 no cycle and hence on no theta, and the child of a free parent is free.
 
-`enumerate_by_edges` walks only the connected-only tree.  A graph with no
-isolated vertices is fixed up to isomorphism by the multiset of the classes
-of its components: an isomorphism maps components onto isomorphic
-components, and isomorphisms between matched components combine into one
-between the unions.  So the disconnected classes with m edges are exactly
-the multisets of at least two connected classes whose edge counts add up
-to m, and each is yielded once, as the disjoint union of the tree's
-representatives, after the connected ones.  The connected-only tree with
-edge limit m holds every connected class with fewer edges as well: a
-deletion raises the component count by at most one, so the ancestor with j
-edges of a connected class with k <= m edges has at most k - j + 1 <=
-m - j + 1 components, which the prune allows.  With a theta to avoid, the
-composition needs nothing more: a theta is connected, so it lies inside one
-component, and a union is free iff each of its components is.
+`_children` is one tree step: it builds each child that `_augmentations`
+yields, applies the acceptance test and the theta prune, and yields the
+survivors in augmentation order.  `_subtree` walks the tree in preorder
+with a stack of `_children` iterators, so the depth of a walk is not
+bounded by the interpreter's recursion limit.
 
-The same tree enumerates by order: walked with an order limit of n and no
-edge limit short of the complete graph, every node is a class on at most n
-vertices without isolated vertices, and padding it with isolated vertices
-up to n gives each class on exactly n vertices once, after the edgeless one.
+`enumerate_by_edges` walks only this tree.  A graph with no isolated
+vertices is fixed up to isomorphism by the multiset of the classes of its
+components: an isomorphism maps components onto isomorphic components, and
+isomorphisms between matched components combine into one between the
+unions.  So the disconnected classes with m edges are exactly the
+multisets of at least two connected classes whose edge counts add up to m,
+and each is yielded once, as the disjoint union of the tree's
+representatives, after the connected ones.  The tree with edge limit m
+holds every connected class with fewer edges as well: a deletion raises
+the component count by at most one, so the ancestor with j edges of a
+connected class with k <= m edges has at most k - j + 1 <= m - j + 1
+components, which the prune allows.  With a theta to avoid, the
+composition needs nothing more: a theta is connected, so it lies inside
+one component, and a union is free iff each of its components is.
+
+The same tree enumerates by order: walked with an order limit of n and the
+edge limit n(n - 1)/2 of the complete graph, where the component prune
+cuts nothing, every node is a class on at most n vertices without isolated
+vertices, and padding it with isolated vertices up to n gives each class
+on exactly n vertices once, after the edgeless one.
 """
 
 from __future__ import annotations
@@ -224,15 +231,10 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
         yield n, n + 1, pair_test(n, n + 1)
 
 
-def _subtree(g: Graph, m: int, connected_only: bool, prune_spec, max_order: int):
-    # Every node, depth first, down to m edges.
-    yield g
-    level = g.m
-    if level == m:
-        return
-    # Each edge still to add merges at most two components.
-    max_components = m - level if connected_only else MAX_N
-    for a, b, sole in _augmentations(g, max_components, max_order):
+def _children(g: Graph, m: int, prune_spec, max_order: int):
+    # The accepted children of g in augmentation order, in a walk down to m
+    # edges.  Each edge still to add merges at most two components.
+    for a, b, sole in _augmentations(g, m - g.m, max_order):
         rows = list(g.adj) + [0] * (b + 1 - g.n)
         rows[a] |= 1 << b
         rows[b] |= 1 << a
@@ -248,7 +250,21 @@ def _subtree(g: Graph, m: int, connected_only: bool, prune_spec, max_order: int)
         # with a new end lies on no cycle.
         if prune_spec is not None and b < g.n and contains_theta(child, prune_spec) is not None:
             continue
-        yield from _subtree(child, m, connected_only, prune_spec, max_order)
+        yield child
+
+
+def _subtree(g: Graph, m: int, prune_spec, max_order: int):
+    # Every node, depth first in preorder, down to m edges.  The stack holds
+    # one iterator of children per level, so the walk does not recurse.
+    stack = [iter((g,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        yield node
+        if node.m < m:
+            stack.append(_children(node, m, prune_spec, max_order))
 
 
 def _multisets(total: int, largest, counts):
@@ -269,7 +285,7 @@ def _stream(m: int, connected_only: bool, prune_spec):
     # The classes with exactly m edges: the connected ones in tree order, then
     # unless connected_only the disjoint unions of smaller connected ones.
     smaller = [[] for _ in range(m)]
-    for g in _subtree(complete(2), m, True, prune_spec, MAX_N):
+    for g in _subtree(complete(2), m, prune_spec, MAX_N):
         if g.m == m:
             yield g
         elif not connected_only and g.is_connected():
@@ -294,6 +310,9 @@ def _check_edge_budget(m: int, budget: int):
             f"edge count {m} exceeds the enumeration budget {budget}; "
             f"raise the budget explicitly to go further"
         )
+    if m > MAX_N * (MAX_N - 1) // 2:
+        raise ValueError(f"edge count {m} exceeds {MAX_N * (MAX_N - 1) // 2}, "
+                         f"the most a graph on at most {MAX_N} vertices has")
 
 
 def enumerate_by_edges(m: int, connected_only: bool = False, *,
@@ -325,6 +344,14 @@ def enumerate_by_order(n: int):
     vertices on at most n vertices plus isolated vertices, and canonical
     deletion never raises the order, so the limit prunes no ancestor of a
     kept class.
+
+    The component prune of the walk, which keeps a node with c components
+    and k edges only if c + k <= n(n - 1)/2 + 1, cuts nothing either.  A
+    graph without isolated vertices on at most n vertices, with components
+    of n_1, ..., n_c vertices, has k <= sum C(n_i, 2).  Merging two
+    components of a and b >= 2 vertices into one of a + b adds ab >= 4
+    vertex pairs and takes 1 from c, so c + sum C(n_i, 2) is at most
+    1 + C(n_1 + ... + n_c, 2) <= 1 + n(n - 1)/2.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
@@ -333,7 +360,7 @@ def enumerate_by_order(n: int):
     yield Graph(n)
     if n < 2:
         return
-    for g in _subtree(complete(2), n * (n - 1) // 2, False, None, n):
+    for g in _subtree(complete(2), n * (n - 1) // 2, None, n):
         yield Graph._from_rows(g.adj + (0,) * (n - g.n))
 
 

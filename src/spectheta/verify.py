@@ -273,15 +273,15 @@ def is_book(g: Graph) -> bool:
     return g.m == 2 * g.n - 3 and sum(r.bit_count() == g.n - 1 for r in g.adj) >= 2
 
 
-def verify_theorem_instance(g: Graph, spec: ThetaSpec = _FREENESS_SPEC) -> dict:
-    """Full certificate: freeness, spectral radius against the closed-form
-    bound, and the structure checks, with every skip recorded as null.
+def verify_theorem_instance(g: Graph) -> dict:
+    """Full certificate of the theorem for the (2,2,3) theta: freeness,
+    spectral radius against the closed-form bound, and the structure
+    checks, with every skip recorded as null.
 
-    The structure keys are filled only for connected spec-free graphs, and
-    the lemma checklist only when such a graph is also (2,2,3)-free,
-    whatever spec the freeness test uses.
+    The structure keys and the lemma checklist are filled only for
+    connected (2,2,3)-free graphs.
     """
-    witness = contains_theta(g, spec)
+    witness = contains_theta(g, _FREENESS_SPEC)
     free = witness is None
     connected = free and g.is_connected()
     lam = None
@@ -301,10 +301,7 @@ def verify_theorem_instance(g: Graph, spec: ThetaSpec = _FREENESS_SPEC) -> dict:
     cert["components"] = [
         {"vertices": list(c.vertices), "class": c.cls.label()} for c in report.components
     ] if connected else None
-    # The lemmas are stated for (2,2,3)-free graphs; under that spec the
-    # freeness search above has already answered.
-    free_223 = connected and (spec == _FREENESS_SPEC or contains_theta(g, _FREENESS_SPEC) is None)
-    cert["lemmas"] = _lemma_checklist(g, report).to_json() if free_223 else None
+    cert["lemmas"] = _lemma_checklist(g, report).to_json() if connected else None
     cert["inequality1"] = inequality_one_check(g, report, res) if connected else None
     claimed = lam is not None and bound is not None and abs(lam - bound) <= COMPARISON_TOL
     cert["equality_case"] = {"claimed": claimed, "iso_to_book": claimed and is_book(g)}

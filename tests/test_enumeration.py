@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -44,8 +47,8 @@ from spectheta import (
 from spectheta import enumeration
 from spectheta.enumeration import (
     _augmentations,
+    _children,
     _lambda_square_bound,
-    _subtree,
     canonical_edge,
 )
 
@@ -246,9 +249,7 @@ def test_least_pair_filter_drops_only_rejected_children():
                     seen.add(ccert)
                     if accepted:
                         want.append(child)
-            nodes = _subtree(g, m + 1, False, None, MAX_N)
-            assert next(nodes) == g
-            assert list(nodes) == want
+            assert list(_children(g, MAX_N, None, MAX_N)) == want
 
 
 def test_no_duplicates_and_basic_shape():
@@ -299,6 +300,28 @@ def test_enumerate_by_order_counts():
         assert len(certs) == count
     with pytest.raises(BudgetError):
         list(enumerate_by_order(9))
+
+
+def test_enumerate_by_order_stream_pinned():
+    # The 12,346 classes on 8 vertices (A000088) as graph6 lines, frozen from
+    # the tree that walked enumerate_by_order without the component prune.
+    lines = "".join(to_graph6(g) + "\n" for g in enumerate_by_order(8))
+    assert lines.count("\n") == 12346
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "957f5df2a526b69f3b77335f4d3ad2289a37b2c43400cc032884d2d2cfe54d51"
+
+
+def test_deep_walk_does_not_recurse():
+    # The first connected class with 400 edges lies 399 steps below the
+    # root; the walk reaches it under a recursion limit of 300.
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    code = ("import sys; sys.setrecursionlimit(300); "
+            "from spectheta import enumerate_by_edges; "
+            "print(next(enumerate_by_edges(400, True, budget=400)).m)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "400\n"
 
 
 def test_connected_counts_small():

@@ -7,11 +7,9 @@ from helpers import oracle_has_long_cycle, oracle_is_book, random_connected_grap
 
 from spectheta import (
     Graph,
-    ThetaSpec,
     book,
     check_lemma_conclusions,
     complete,
-    complete_bipartite,
     cycle,
     decompose,
     enumerate_by_order,
@@ -263,9 +261,3 @@ def test_certificate_disconnected_input():
     assert cert["theta_free"]
     assert cert["lambda"] == pytest.approx(2.0, abs=1e-9)
     assert cert["ustar"] is None and cert["lemmas"] is None
-
-
-def test_certificate_nonfree_bipartite_spec():
-    # K_{2,3} is the (2,2,2) theta itself
-    cert = verify_theorem_instance(complete_bipartite(2, 3), ThetaSpec(2, 2, 2))
-    assert not cert["theta_free"]
