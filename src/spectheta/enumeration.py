@@ -1,4 +1,5 @@
-"""Isomorph-free generation of graphs by edge count, and extremal search.
+"""Isomorph-free generation of graphs by edge count, and extremal search
+over the classes free of any given theta.
 
 Generation is McKay's canonical augmentation ("Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  Level-k graphs (k edges, minimum
@@ -91,7 +92,7 @@ from dataclasses import dataclass
 from .canon import automorphism_generators, canonical_form, canonical_label, canonical_order
 from .graph6 import to_graph6
 from .graphs import MAX_N, Graph, bit_indices, complete
-from .spectral import COMPARISON_TOL, bound_value, spectral_radius
+from .spectral import COMPARISON_TOL, spectral_radius
 from .theta import ThetaSpec, contains_theta
 
 DEFAULT_EDGE_BUDGET = 12
@@ -494,31 +495,3 @@ def extremal_search(m: int, spec: ThetaSpec, *,
         num_candidates=count,
         runner_ups=runner_ups,
     )
-
-
-def extremal_table(m_list, spec: ThetaSpec, *,
-                   budget: int = DEFAULT_EDGE_BUDGET) -> list[dict]:
-    """Rows comparing the searched maximum against the closed-form bound.
-
-    m_list is a sequence of edge counts; every one is checked against the
-    budget before the first search, and the check stops at the first m
-    that fails, so a huge range costs nothing.  The gap may be negative
-    for small m; the closed form is only claimed from a much larger size
-    onward, so small-m rows are empirical data.
-    """
-    for m in m_list:
-        _check_edge_budget(m, budget)
-    rows = []
-    for m in m_list:
-        rec = extremal_search(m, spec, budget=budget)
-        bound = bound_value(m)
-        rows.append(
-            {
-                "m": m,
-                "best_lambda": rec.best_lambda,
-                "bound": bound,
-                "gap": bound - rec.best_lambda,
-                "best_graph6": rec.best_graph6,
-            }
-        )
-    return rows

@@ -1,4 +1,4 @@
-"""Spectral radius and related checks for connected graphs.
+"""Spectral radius, the Nosal check and the eigenvector identities.
 
 One dense symmetric eigensolve (LAPACK through `numpy.linalg.eigh`) gives
 every eigenpair of the adjacency matrix at once; the largest eigenvalue is
@@ -72,22 +72,6 @@ def spectral_radius(g: Graph) -> SpectralResult:
             f"eigenpair residual {residual:.3e} misses the target (n={g.n}, m={g.m})"
         )
     return SpectralResult(lam, x, residual, 0)
-
-
-def extremal_vertex(res: SpectralResult) -> int:
-    """Smallest vertex id whose Perron entry is maximal within tolerance."""
-    top = float(res.perron.max())
-    for i, val in enumerate(res.perron):
-        if val >= top - COMPARISON_TOL:
-            return i
-    raise RuntimeError("unreachable: empty Perron vector")
-
-
-def bound_value(m: int) -> float:
-    """The closed-form spectral bound (1 + sqrt(4m - 3)) / 2 for m edges."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"edge count must be a positive integer, got {m!r}")
-    return (1.0 + math.sqrt(4 * m - 3)) / 2.0
 
 
 def triangle_free(g: Graph) -> bool:

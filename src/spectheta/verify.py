@@ -1,4 +1,8 @@
-"""Neighborhood decomposition of a concrete graph and executable structure checks.
+"""The one module that knows the theorem: among (2,2,3)-theta-free graphs
+with m edges, lambda <= (1 + sqrt(4m - 3)) / 2, with equality only for the
+book.  Here are its bound, the vertex u* that its lemmas are stated at, the
+decomposition and structure checks around u*, the certificate of one graph
+with its verdict, and the table of searched maxima against the bound.
 
 Everything here is a report, not a proof: the checks evaluate structural
 conclusions that are known to hold for the true spectral maximizer among
@@ -8,20 +12,50 @@ and are recorded with witnesses, never raised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .canon import canonical_order, twin_classes
+from .enumeration import DEFAULT_EDGE_BUDGET, _check_edge_budget, extremal_search
 from .graph6 import to_graph6
 from .graphs import Graph, bit_indices, vertex_mask
-from .spectral import (
-    COMPARISON_TOL,
-    SpectralResult,
-    bound_value,
-    extremal_vertex,
-    spectral_radius,
-)
+from .spectral import COMPARISON_TOL, SpectralResult, spectral_radius
 from .theta import ThetaSpec, contains_theta
 
 _FREENESS_SPEC = ThetaSpec(2, 2, 3)
+
+
+def bound_value(m: int) -> float:
+    """The closed-form spectral bound (1 + sqrt(4m - 3)) / 2 for m edges."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"edge count must be a positive integer, got {m!r}")
+    return (1.0 + math.sqrt(4 * m - 3)) / 2.0
+
+
+def is_book(g: Graph) -> bool:
+    """Whether g is two adjacent hubs joined to (m - 1)/2 independent pages.
+
+    That is m = 2n - 3 with two vertices adjacent to all others: two such
+    hubs already carry 2(n - 1) - 1 = 2n - 3 edges, so no other edge
+    exists.  With n = 2 this is the zero-page book, K2.
+    """
+    return g.m == 2 * g.n - 3 and sum(r.bit_count() == g.n - 1 for r in g.adj) >= 2
+
+
+def extremal_vertex(g: Graph, res: SpectralResult) -> int:
+    """A vertex of largest Perron entry, chosen by the isomorphism class of g.
+
+    The vertices within COMPARISON_TOL of the largest entry are tied.  If
+    they form one twin class, an automorphism swaps any two of them, so the
+    least id stands for all and no label is needed.  Otherwise the tied
+    vertex first in `canonical_order(g)` is taken, which a relabelling of
+    g moves along with the graph.
+    """
+    top = float(res.perron.max())
+    tied = [v for v, val in enumerate(res.perron) if val >= top - COMPARISON_TOL]
+    if len(twin_classes(g.adj, tied)) == 1:
+        return tied[0]
+    return next(v for v in canonical_order(g) if v in tied)
 
 
 @dataclass(frozen=True)
@@ -89,7 +123,7 @@ def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> Decomp
     if not g.is_connected():
         raise ValueError("decompose requires a connected graph")
     if ustar is None:
-        ustar = extremal_vertex(res)
+        ustar = extremal_vertex(g, res)
     g._check_vertex(ustar)
     umask = g.adj[ustar]
     wmask = ((1 << g.n) - 1) & ~umask & ~(1 << ustar)
@@ -263,23 +297,14 @@ def inequality_one_check(g: Graph, report: DecompositionReport,
     }
 
 
-def is_book(g: Graph) -> bool:
-    """Whether g is two adjacent hubs joined to (m - 1)/2 independent pages.
-
-    That is m = 2n - 3 with two vertices adjacent to all others: two such
-    hubs already carry 2(n - 1) - 1 = 2n - 3 edges, so no other edge
-    exists.  With n = 2 this is the zero-page book, K2.
-    """
-    return g.m == 2 * g.n - 3 and sum(r.bit_count() == g.n - 1 for r in g.adj) >= 2
-
-
 def verify_theorem_instance(g: Graph) -> dict:
     """Full certificate of the theorem for the (2,2,3) theta: freeness,
     spectral radius against the closed-form bound, and the structure
     checks, with every skip recorded as null.
 
     The structure keys and the lemma checklist are filled only for
-    connected (2,2,3)-free graphs.
+    connected (2,2,3)-free graphs.  Isolated vertices change neither m nor
+    lambda, so the book test of the equality case ignores them.
     """
     witness = contains_theta(g, _FREENESS_SPEC)
     free = witness is None
@@ -304,5 +329,44 @@ def verify_theorem_instance(g: Graph) -> dict:
     cert["lemmas"] = _lemma_checklist(g, report).to_json() if connected else None
     cert["inequality1"] = inequality_one_check(g, report, res) if connected else None
     claimed = lam is not None and bound is not None and abs(lam - bound) <= COMPARISON_TOL
-    cert["equality_case"] = {"claimed": claimed, "iso_to_book": claimed and is_book(g)}
+    iso_to_book = claimed and is_book(g.induced(v for v in range(g.n) if g.adj[v]))
+    cert["equality_case"] = {"claimed": claimed, "iso_to_book": iso_to_book}
     return cert
+
+
+def certificate_holds(cert: dict) -> bool:
+    """Whether a certificate agrees with the theorem: the graph is
+    (2,2,3)-free, lambda is within COMPARISON_TOL of the bound or below it
+    (a null one is not checked), and only a book claims equality.
+    """
+    lam, bound, eq = cert["lambda"], cert["bound"], cert["equality_case"]
+    return (cert["theta_free"]
+            and (lam is None or bound is None or lam <= bound + COMPARISON_TOL)
+            and (not eq["claimed"] or eq["iso_to_book"]))
+
+
+def extremal_table(m_list, *, budget: int = DEFAULT_EDGE_BUDGET) -> list[dict]:
+    """Rows comparing the searched (2,2,3)-free maximum against the bound.
+
+    m_list is a sequence of edge counts; every one is checked against the
+    budget before the first search, and the check stops at the first m
+    that fails, so a huge range costs nothing.  The gap may be negative
+    for small m; the closed form is only claimed from a much larger size
+    onward, so small-m rows are empirical data.
+    """
+    for m in m_list:
+        _check_edge_budget(m, budget)
+    rows = []
+    for m in m_list:
+        rec = extremal_search(m, _FREENESS_SPEC, budget=budget)
+        bound = bound_value(m)
+        rows.append(
+            {
+                "m": m,
+                "best_lambda": rec.best_lambda,
+                "bound": bound,
+                "gap": bound - rec.best_lambda,
+                "best_graph6": rec.best_graph6,
+            }
+        )
+    return rows

@@ -126,7 +126,7 @@ def test_budget_guard_exit_3(capsys):
 def test_budget_limit_flag(capsys, monkeypatch):
     for argv in (["enumerate", "--edges", "3"],
                  ["search", "--edges", "3", "--spec", "2,2,3"],
-                 ["table", "--edges", "3", "--spec", "2,2,3"]):
+                 ["table", "--edges", "3"]):
         code, out, err = run_cli(capsys, argv + ["--limit", "2"])
         assert code == 3 and out == "" and "budget 2" in err
         code, out, _ = run_cli(capsys, argv + ["--limit", "3"])
@@ -144,8 +144,8 @@ def test_table_checks_budget_before_searching(capsys, monkeypatch):
         calls.append(m)
         raise AssertionError(f"searched m={m} before the budget check")
 
-    monkeypatch.setattr("spectheta.enumeration.extremal_search", spy)
-    code, out, err = run_cli(capsys, ["table", "--edges", "3..13", "--spec", "2,2,3"])
+    monkeypatch.setattr("spectheta.verify.extremal_search", spy)
+    code, out, err = run_cli(capsys, ["table", "--edges", "3..13"])
     assert code == 3 and out == "" and "edge count 13" in err
     assert calls == []
 
@@ -161,7 +161,7 @@ def test_oversized_inputs_fail_before_allocating():
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     for argv, want in ((["family", "complete", "--n", "20000"], 2),
                        (["family", "book", "--k", "100000000"], 2),
-                       (["table", "--edges", "1..100000000000", "--spec", "2,2,3"], 3),
+                       (["table", "--edges", "1..100000000000"], 3),
                        (["enumerate", "--edges", "100000000", "--limit", "100000000",
                          "--connected"], 2),
                        (["search", "--edges", "100000000", "--limit", "100000000",
@@ -184,7 +184,7 @@ def test_search_json_golden(capsys):
 
 
 # sha256 of the stdout of `search --edges M --spec S --json`, and of
-# `table --edges 3..10 --spec 2,2,3 --json`, frozen from the search that
+# `table --edges 3..10 --json`, frozen from the search that
 # labelled and solved every candidate and ran the full theta detector on
 # every tree child.
 SEARCH_STDOUT_DIGESTS = {
@@ -209,7 +209,7 @@ def test_search_and_table_stdout_pinned(capsys):
         code, out, _ = run_cli(capsys, ["search", "--edges", str(m), "--spec", spec, "--json"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, (m, spec)
-    code, out, _ = run_cli(capsys, ["table", "--edges", "3..10", "--spec", "2,2,3", "--json"])
+    code, out, _ = run_cli(capsys, ["table", "--edges", "3..10", "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_STDOUT_DIGEST
 
@@ -231,14 +231,18 @@ def test_search_deterministic_across_runs_and_threads(capsys):
 
 
 def test_table(capsys):
-    code, out, _ = run_cli(capsys, ["table", "--edges", "3..4", "--spec", "2,2,3"])
+    code, out, _ = run_cli(capsys, ["table", "--edges", "3..4"])
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3  # header plus two rows
     assert lines[1].split()[0] == "3"
-    code, out, _ = run_cli(capsys, ["table", "--edges", "3..4", "--spec", "2,2,3", "--json"])
+    code, out, _ = run_cli(capsys, ["table", "--edges", "3..4", "--json"])
     rows = json.loads(out)
     assert rows[0]["gap"] == pytest.approx(0.0, abs=1e-9)
+    # The table is the (2,2,3) theorem's; asking it about a spec is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--edges", "3", "--spec", "2,2,3"])
+    assert exc.value.code == 2
 
 
 def test_verify_json_and_exit_codes(capsys):
@@ -248,6 +252,10 @@ def test_verify_json_and_exit_codes(capsys):
     assert cert["equality_case"]["iso_to_book"]
     code, _, _ = run_cli(capsys, ["verify", to_graph6(complete(6)), "--json"])
     assert code == 1
+    # book(3) and K2 padded with isolated vertices are still books.
+    for g6 in ("E}o?", "CG"):
+        code, out, _ = run_cli(capsys, ["verify", g6, "--json"])
+        assert code == 0 and json.loads(out)["equality_case"]["iso_to_book"], g6
 
 
 def test_verify_human_mode(capsys):

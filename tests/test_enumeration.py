@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -395,6 +396,42 @@ def test_runner_ups_ordered():
             assert not GraphMatcher(to_networkx(g), theta).subgraph_is_monomorphic()
 
 
+def test_search_top_six_matches_atlas_oracle():
+    # A completeness oracle that shares no code with the search: networkx's
+    # atlas of every graph on at most 7 vertices, its monomorphism matcher
+    # for the (2,2,3) theta, its graph6 reader, and numpy's eigvalsh.  A
+    # connected graph with m <= 6 edges has at most 7 vertices, so there the
+    # atlas holds every class.  For larger m, Hong's bound (Linear Algebra
+    # Appl. 108, 1988) gives lambda <= sqrt(2m - n + 1) for a connected
+    # graph, so a class on 8 or more vertices has lambda <= sqrt(2m - 7);
+    # once the sixth atlas lambda is above that, no such class can reach
+    # the top six.
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    theta = nx.Graph([(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+    atlas = {m: [] for m in range(1, 10)}
+    for h in nx.graph_atlas_g():
+        m = h.number_of_edges()
+        if (m in atlas and nx.is_connected(h)
+                and not GraphMatcher(h, theta).subgraph_is_monomorphic()):
+            atlas[m].append((float(np.linalg.eigvalsh(nx.to_numpy_array(h))[-1]), h))
+    for m, free in atlas.items():
+        free.sort(key=lambda entry: -entry[0])
+        rec = extremal_search(m, ThetaSpec(2, 2, 3))
+        records = [(rec.best_graph6, rec.best_lambda)] + list(rec.runner_ups)
+        assert [lam for _, lam in records] == pytest.approx(
+            [lam for lam, _ in free[:6]], abs=1e-9), m
+        for g6, lam in records:
+            g = nx.from_graph6_bytes(g6.encode())
+            assert any(abs(a - lam) <= 1e-9 and nx.is_isomorphic(g, h) for a, h in free), g6
+        if m <= 6:
+            assert rec.num_candidates == len(free), m
+        else:
+            assert free[5][0] > math.sqrt(2 * m - 7), m
+    assert [len(atlas[m]) for m in range(1, 7)] == [1, 1, 3, 5, 12, 30]
+
+
 def _dense_lambda(g):
     a = np.array([[(row >> j) & 1 for j in range(g.n)] for row in g.adj], dtype=float)
     return np.linalg.eigvalsh(a)[-1]
@@ -440,7 +477,7 @@ def test_record_json_deterministic():
 
 
 def test_extremal_table():
-    rows = extremal_table([3, 4], ThetaSpec(2, 2, 3))
+    rows = extremal_table([3, 4])
     assert rows[0]["m"] == 3
     assert rows[0]["best_lambda"] == pytest.approx(2.0, abs=1e-9)
     assert rows[0]["bound"] == pytest.approx(2.0, abs=1e-9)

@@ -113,9 +113,12 @@ def test_rejects_disconnected_and_empty():
 
 
 def test_extremal_vertex():
-    assert extremal_vertex(spectral_radius(star(6))) == 0
-    assert extremal_vertex(spectral_radius(book(3))) == 0  # hubs tie, index breaks it
-    assert extremal_vertex(spectral_radius(cycle(6))) == 0  # all entries equal
+    g = star(6)
+    assert extremal_vertex(g, spectral_radius(g)) == 0
+    g = book(3)
+    assert extremal_vertex(g, spectral_radius(g)) == 0  # the tied hubs are twins: least id
+    g = cycle(6)
+    assert extremal_vertex(g, spectral_radius(g)) == 0  # all tie, no twins: canonical order
 
 
 def test_bound_value():

@@ -3,15 +3,24 @@ import random
 
 import pytest
 
-from helpers import oracle_has_long_cycle, oracle_is_book, random_connected_graph
+from helpers import (
+    oracle_has_long_cycle,
+    oracle_is_book,
+    random_connected_graph,
+    random_permutation,
+    relabeled,
+)
 
 from spectheta import (
     Graph,
+    ThetaSpec,
     book,
+    certificate_holds,
     check_lemma_conclusions,
     complete,
     cycle,
     decompose,
+    enumerate_by_edges,
     enumerate_by_order,
     inequality_one_check,
     is_book,
@@ -261,3 +270,35 @@ def test_certificate_disconnected_input():
     assert cert["theta_free"]
     assert cert["lambda"] == pytest.approx(2.0, abs=1e-9)
     assert cert["ustar"] is None and cert["lemmas"] is None
+
+
+def _free_connected_classes():
+    # Every (2,2,3)-free connected class with m <= 9: 1,017 graphs.
+    return [g for m in range(1, 10)
+            for g in enumerate_by_edges(m, True, free=ThetaSpec(2, 2, 3))]
+
+
+def _class_fields(cert):
+    # The certificate fields that the isomorphism class alone decides.
+    return (certificate_holds(cert), cert["theta_free"],
+            [(e["id"], e["holds"]) for e in cert["lemmas"]], cert["equality_case"])
+
+
+def test_certificate_invariant_under_relabelling():
+    # Perron ties must not let the labelling pick a different extremal vertex.
+    rng = random.Random(2021)
+    for g in _free_connected_classes():
+        cert = verify_theorem_instance(g)
+        for _ in range(2):
+            other = verify_theorem_instance(relabeled(g, random_permutation(rng, g.n)))
+            assert _class_fields(other) == _class_fields(cert), to_graph6(g)
+            assert other["lambda"] == pytest.approx(cert["lambda"], abs=1e-9)
+
+
+def test_certificate_verdict_ignores_isolated_vertices():
+    for g in _free_connected_classes():
+        cert = verify_theorem_instance(g)
+        for k in (1, 2):
+            padded = verify_theorem_instance(Graph(g.n + k, g.edges()))
+            assert certificate_holds(padded) == certificate_holds(cert), (to_graph6(g), k)
+            assert padded["equality_case"] == cert["equality_case"], (to_graph6(g), k)
