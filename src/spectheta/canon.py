@@ -1,42 +1,52 @@
 """Canonical labeling by equitable refinement plus individualization search.
 
-Each connected component is labeled on its own: the search explores all
-vertex orderings compatible with the refined partition, keeps the
-lexicographically least upper-triangle bit string, prunes branches whose
-fixed prefix already exceeds the best string, and individualizes only one
-representative per twin class (vertices with identical open or closed
-neighborhoods are swapped by an automorphism, so the skipped branches
-cannot improve the minimum).  The whole-graph certificate concatenates the
-component certificates in sorted order, which makes disjoint unions of
-many small components cheap instead of catastrophically symmetric.
+Each connected component is labeled on its own: the search explores the
+vertex orderings compatible with the refined partition, keeps the first
+leaf with the lexicographically least upper-triangle bit string, and
+individualizes only one representative per twin class (vertices with
+identical open or closed neighborhoods are swapped by an automorphism, so
+the skipped branches cannot improve the minimum).  The whole-graph
+certificate concatenates the component certificates in sorted order,
+which makes disjoint unions of many small components cheap instead of
+catastrophically symmetric.
 
-The search also finds the automorphism group G of the component.  Two
-leaves with the same bit string differ by an automorphism, so each
-visited leaf that ties the final least string gives one, kept as a
-permutation of canonical positions.  These ties and the twin swaps
-generate G.  Refinement commutes with automorphisms, so G acts on the
-leaves of the unpruned tree, and the leaves with the least string are
-exactly the G-orbit of the best one, each reached by one element of G.
-The bound prune never cuts an ancestor of such a leaf, whose prefix is at
-most the best string's prefix.  The twin prune skips a branch x of a node
-only for an earlier twin x0 in the same cell; swapping x0 and x fixes the
-node's individualized vertices and so maps the skipped subtree onto the
-visited one.  Up the tree by induction, every least leaf is the image of
-a visited least leaf under a product of twin swaps, and every visited
-least leaf is the image of the best leaf under a tie.  So the generated
-group takes the best leaf to every least leaf, and is G.
-`automorphism_generators` lifts the ties to original ids, adds a swap of
-each two consecutive components with equal certificates, and rebuilds
-the twin swaps from `twin_classes` instead of storing them.
+The search also finds the automorphism group G of the component and
+prunes with it (first-path automorphism pruning; McKay and Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
+Refinement commutes with automorphisms and splits cells in place, so G
+acts on the nodes of the unpruned tree, and a vertex that is a singleton
+at a node keeps its position in every leaf below it.  Two leaves with the
+same bit string differ by an automorphism.  When a leaf L ties the best
+leaf so far, B, the search records g: B -> L and returns to the node N
+where the two individualized paths split, B below N's branch x and L
+below its branch y.  g fixes every singleton of N, so it maps N to itself
+and x's subtree onto y's.  Once a subtree is done, the best string is at
+most the least string in it (by induction on the subtrees below), so B's
+string is the least in x's subtree and hence in y's: the rest of y's
+subtree cannot undercut B, and its least leaves are the images under g of
+those below x.  The twin prune skips a branch x' of a node only for an
+earlier twin x in the same cell; swapping x and x' fixes the node's
+individualized vertices and so maps the skipped subtree onto the visited
+one.  Every leaf the return skips comes after B and is no less than B,
+so the first leaf with the least string is still visited, and bits and
+order are those of the search without the return.  By induction up the
+tree, every least leaf is the image of the final B under a product of
+recorded automorphisms and twin swaps.  The least leaves are exactly the
+G-orbit of B, each the image of B under one element of G, so these
+permutations generate G.  A recorded g stays an automorphism when a later
+leaf undercuts B, and the skips it justified rely on it, so every one is
+kept.
+`automorphism_generators` lifts them to original ids, adds a swap of each
+two consecutive components with equal certificates, and rebuilds the
+twin swaps from `twin_classes` instead of storing them.
 
 Two bounded caches keep the generation tree from labelling twice what it
 has labelled once.  `_canonical_pieces` is keyed on the whole `Graph` (its
 vertex count and adjacency rows).  `_component_canonical` is keyed on one
 component's local adjacency rows, so a child that keeps a component of its
-parent row for row reuses that component's search.  Both outputs, ties
-included, are pure functions of their keys, so neither cache can change a
-certificate, an order or a generator.  The ties of a
-component with no tied leaf are one shared empty tuple.
+parent row for row reuses that component's search.  Both outputs,
+automorphisms included, are pure functions of their keys, so neither cache
+can change a certificate, an order or a generator.
 """
 
 from __future__ import annotations
@@ -106,76 +116,74 @@ def _component_canonical(adj: tuple[int, ...]):
     """Least adjacency bit string over refinement-compatible orderings.
 
     adj holds the k local rows of one connected component.  Returns
-    (bits, order, ties): bits is the upper triangle packed column-major
+    (bits, order, auts): bits is the upper triangle packed column-major
     into an int of k*(k-1)/2 bits, order maps canonical positions to local
-    vertex ids, and ties holds one automorphism per other visited leaf
-    that met the least string, as a permutation of canonical positions
-    (the vertex at position i goes to position tie[i]).
+    vertex ids, and auts holds one automorphism per visited leaf that tied
+    the best leaf of its time, as a permutation of local ids (aut[v] is
+    the image of v).
     """
     k = len(adj)
-    total_bits = k * (k - 1) // 2
-    best_bits = None
-    best_order = None
-    tied = []
+    best_bits = best_order = best_path = None  # the least leaf so far
+    auts = []
 
-    def descend(cells):
-        nonlocal best_bits, best_order
+    def descend(cells, path):
+        # None, or after a tie the depth of the node where the search resumes.
+        nonlocal best_bits, best_order, best_path
         order = []
         for cell in cells:
             if len(cell) != 1:
                 break
             order.append(cell[0])
-        val = 0
-        nbits = 0
-        for j in range(1, len(order)):
-            aj = adj[order[j]]
-            col = 0
-            for i in range(j):
-                col = (col << 1) | ((aj >> order[i]) & 1)
-            val = (val << j) | col
-            nbits += j
-        if best_bits is not None and nbits and val > (best_bits >> (total_bits - nbits)):
-            return
         if len(order) == k:
+            val = 0
+            for j in range(1, k):
+                aj = adj[order[j]]
+                col = 0
+                for i in range(j):
+                    col = (col << 1) | ((aj >> order[i]) & 1)
+                val = (val << j) | col
             if best_bits is None or val < best_bits:
-                best_bits = val
-                best_order = tuple(order)
-                tied.clear()
+                best_bits, best_order, best_path = val, order, path
             elif val == best_bits:
-                tied.append(order)
-            return
+                aut = [0] * k
+                for v, w in zip(best_order, order):
+                    aut[v] = w
+                auts.append(tuple(aut))
+                depth = 0
+                while path[depth] == best_path[depth]:
+                    depth += 1
+                return depth
+            return None
         target = cells[len(order)]
         for cls in twin_classes(adj, target):
             v = cls[0]
             rest = [w for w in target if w != v]
             branch = cells[: len(order)] + [[v], rest] + cells[len(order) + 1:]
-            descend(_refine(adj, branch, [1 << v]))
+            depth = descend(_refine(adj, branch, [1 << v]), path + [v])
+            if depth is not None and depth < len(path):
+                return depth
+        return None
 
-    descend(_refine(adj, [list(range(k))], [(1 << k) - 1]))
-    if not tied:
-        return best_bits, best_order, ()
-    pos = [0] * k
-    for i, v in enumerate(best_order):
-        pos[v] = i
-    return best_bits, best_order, tuple(tuple(pos[v] for v in leaf) for leaf in tied)
+    descend(_refine(adj, [list(range(k))], [(1 << k) - 1]), [])
+    return best_bits, tuple(best_order), tuple(auts)
 
 
 @lru_cache(maxsize=65536)
 def _canonical_pieces(g: Graph):
-    """Per-component (certificate, canonical original-vertex order, ties), sorted."""
+    """Per-component (certificate, canonical original-vertex order, automorphisms), sorted."""
     pieces = []
     for comp in g.components():
         k = len(comp)
         if k == g.n:
             # One component spans the graph, so its local rows are g's own.
-            bits, order, ties = _component_canonical(g.adj)
+            bits, order, auts = _component_canonical(g.adj)
         else:
             local = tuple(_induced_rows(g.adj, comp))
-            bits, local_order, ties = _component_canonical(local)
+            bits, local_order, auts = _component_canonical(local)
             order = tuple(comp[i] for i in local_order)
         nbytes = (k * (k - 1) // 2 + 7) // 8
         cert = k.to_bytes(2, "big") + bits.to_bytes(nbytes, "big")
-        pieces.append((cert, order, ties))
+        pieces.append((cert, order, auts))
     pieces.sort(key=lambda piece: piece[0])
     return tuple(pieces)
 
@@ -201,21 +209,22 @@ def canonical_form(g: Graph) -> Graph:
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Generators of the automorphism group of g, each as the images of 0..n-1.
 
-    They are the tied leaves of each component's search, lifted through
-    its canonical order, a swap of each two consecutive components with
-    equal certificates, and the transpositions of each twin class with its
-    least member.  Ties are read from the cache that `canonical_label`,
-    `canonical_order` and so `canonical_edge` fill, so after one of those
-    on g this takes no labelling.
+    They are the automorphisms that each component's search records at its
+    tied leaves, lifted to original ids, a swap of each two consecutive
+    components with equal certificates, and the transpositions of each twin
+    class with its least member.  The automorphisms are read from the cache
+    that `canonical_label`, `canonical_order` and so `canonical_edge` fill,
+    so after one of those on g this takes no labelling.
     """
     n = g.n
     gens = []
     previous = None
-    for cert, order, ties in _canonical_pieces(g):
-        for tie in ties:
+    for cert, order, auts in _canonical_pieces(g):
+        comp = sorted(order)  # local id i is the component's i-th least vertex
+        for aut in auts:
             perm = list(range(n))
-            for i, j in enumerate(tie):
-                perm[order[i]] = order[j]
+            for v, w in zip(comp, aut):
+                perm[v] = comp[w]
             gens.append(tuple(perm))
         if previous is not None and previous[0] == cert:
             perm = list(range(n))

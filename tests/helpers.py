@@ -22,6 +22,27 @@ def to_networkx(g: Graph):
     return h
 
 
+def hypercube(d: int) -> Graph:
+    """The d-cube: vertices 0..2^d - 1, adjacent when they differ in one bit."""
+    return Graph(1 << d, [(v, v | (1 << i)) for v in range(1 << d) for i in range(d)
+                          if not (v >> i) & 1])
+
+
+def binary_tree(depth: int) -> Graph:
+    """The complete binary tree of the given depth, vertex v under (v - 1) // 2."""
+    n = (2 << depth) - 1
+    return Graph(n, [(v, (v - 1) // 2) for v in range(1, n)])
+
+
+def torus(a: int, b: int) -> Graph:
+    """The a x b torus grid C_a x C_b, vertex (i, j) numbered i * b + j."""
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            edges += [(i * b + j, (i + 1) % a * b + j), (i * b + j, i * b + (j + 1) % b)]
+    return Graph(a * b, edges)
+
+
 def oracle_has_long_cycle(g: Graph) -> bool:
     """networkx oracle: some biconnected block has four or more vertices."""
     import networkx as nx

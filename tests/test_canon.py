@@ -1,15 +1,19 @@
+import hashlib
 import random
 from collections import defaultdict
 
 import pytest
 
 from helpers import (
+    binary_tree,
     brute_force_automorphisms,
     brute_force_class_key,
     graphs_on,
+    hypercube,
     random_permutation,
     relabeled,
     to_networkx,
+    torus,
 )
 
 from spectheta import (
@@ -23,6 +27,7 @@ from spectheta import (
     complete,
     complete_bipartite,
     cycle,
+    enumerate_by_edges,
     enumerate_by_order,
     path,
     star,
@@ -152,7 +157,19 @@ def test_automorphism_generators_on_larger_symmetric_graphs():
     disjoint = Graph(12, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                           (6, 7), (8, 9), (10, 11), (0, 6)])
     for g in (petersen, cycle(9), book(5), complete_bipartite(3, 4), complete(5), star(7),
-              disjoint):
+              disjoint, hypercube(4), binary_tree(3), torus(5, 7)):
         h = to_networkx(g)
         want = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
         assert _group_order(g) == want
+
+
+def test_labels_and_orders_are_pinned():
+    # Every connected class with at most 8 edges, as the tree yields it, and
+    # three graphs with large automorphism groups.  Any change to a
+    # certificate byte or to the canonical order changes the digest.
+    graphs = [g for m in range(1, 9) for g in enumerate_by_edges(m, True)]
+    assert len(graphs) == 358
+    digest = hashlib.sha256()
+    for g in graphs + [hypercube(4), binary_tree(3), torus(5, 7)]:
+        digest.update(canonical_label(g).data + bytes(canonical_order(g)))
+    assert digest.hexdigest() == "7e3ba173a2682b2b2f8f0aeb085b5ee925007f84bda5620940f1e65f3f8a87bb"

@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import binary_tree
+
 import spectheta
 from spectheta import book, complete, complete_bipartite, to_graph6
 from spectheta.cli import main
@@ -256,6 +258,19 @@ def test_verify_json_and_exit_codes(capsys):
     for g6 in ("E}o?", "CG"):
         code, out, _ = run_cli(capsys, ["verify", g6, "--json"])
         assert code == 0 and json.loads(out)["equality_case"]["iso_to_book"], g6
+
+
+def test_verify_answers_the_depth_six_binary_tree():
+    # 127 vertices with |Aut| = 2^63.  A labeller that visits every leaf
+    # tied with the least one never finishes; its own child process keeps
+    # the hang out of the suite.
+    src = os.path.dirname(os.path.dirname(spectheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "spectheta.cli", "verify",
+                           to_graph6(binary_tree(6))],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "theta_free: true" in proc.stdout
 
 
 def test_verify_human_mode(capsys):

@@ -1,6 +1,9 @@
 """Property tests on random graphs: canonical labels, graph6, theta witnesses
-and the counting structure checks."""
+and the counting structure checks; and on random command lines, exit codes."""
 
+import contextlib
+import io
+import sys
 from itertools import combinations
 
 import pytest
@@ -33,6 +36,8 @@ from spectheta import (  # noqa: E402
     validate_witness,
 )
 from spectheta.canon import _canonical_pieces, _component_canonical  # noqa: E402
+from spectheta.cli import main  # noqa: E402
+from spectheta.graphs import FAMILIES  # noqa: E402
 from spectheta.spectral import triangle_free  # noqa: E402
 from spectheta.verify import has_long_cycle  # noqa: E402
 
@@ -187,3 +192,92 @@ def test_structure_counts_match_networkx(g):
     assert has_long_cycle(g) == oracle_has_long_cycle(g)
     assert is_book(g) == oracle_is_book(g)
     assert triangle_free(g) == oracle_triangle_free(g)
+
+
+@st.composite
+def graph6_texts(draw):
+    # A graph on at most 12 vertices with at most 8 edges, in the short or
+    # the long header form, maybe behind the optional prefix; or that text
+    # cut anywhere with up to two printable ASCII characters appended.
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True)) if pairs else []
+    text = to_graph6(Graph(n, edges))
+    if draw(st.booleans()):
+        text = "~??" + text
+    if draw(st.booleans()):
+        text = ">>graph6<<" + text
+    if draw(st.booleans()):
+        tail = draw(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=2))
+        text = text[:draw(st.integers(min_value=0, max_value=len(text)))] + tail
+    return text
+
+
+_NUMBERS = st.integers(min_value=-1, max_value=8) | st.sampled_from([13, 10**12])
+_SPECS = (st.tuples(*[st.integers(min_value=1, max_value=4)] * 3).map(lambda t: "%d,%d,%d" % t)
+          | st.text(max_size=6))
+
+
+@st.composite
+def cli_calls(draw):
+    # argv for one subcommand and the stdin it reads.  Edge counts above 8
+    # are 13 or 10^12 and no --limit reaches them, so every walk stops at
+    # 8 edges or at the budget guard.
+    command = draw(st.sampled_from(["radius", "free", "enumerate", "search", "table",
+                                    "family", "verify", "nosal"]))
+    argv = [command]
+    stdin = ""
+
+    def option(name, values, required=False):
+        if required or draw(st.booleans()):
+            argv.extend([name, str(draw(values))])
+
+    if command in ("radius", "free", "verify", "nosal"):
+        if command == "free":
+            option("--spec", _SPECS, required=True)
+        elif draw(st.booleans()):
+            argv.append("--json")
+        if draw(st.booleans()):
+            argv.append(draw(graph6_texts()))
+        else:
+            stdin = "".join(text + "\n" for text in draw(st.lists(graph6_texts(), max_size=3)))
+    elif command == "family":
+        argv.append(draw(st.sampled_from(sorted(FAMILIES) + ["wheel"])))
+        for name in ("--k", "--n", "--s", "--t"):
+            option(name, st.integers(min_value=-1, max_value=12) | st.just(10**8))
+    else:
+        if command == "table":
+            lo, hi = draw(_NUMBERS), draw(_NUMBERS)
+            option("--edges", st.sampled_from([f"{lo}..{hi}", str(lo), "..", "x"]), required=True)
+        else:
+            option("--edges", _NUMBERS, required=True)
+        if command == "enumerate":
+            if draw(st.booleans()):
+                argv.append("--connected")
+            option("--free", _SPECS)
+        if command == "search":
+            option("--spec", _SPECS, required=True)
+        if command != "enumerate" and draw(st.booleans()):
+            argv.append("--json")
+        option("--limit", st.integers(min_value=-1, max_value=8))
+    return argv, stdin
+
+
+@settings(deadline=None, max_examples=200)
+@given(cli_calls())
+def test_cli_exits_with_a_documented_code(call):
+    argv, stdin = call
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse rejects a usage error with exit code 2.
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3), (argv, stdin, err.getvalue())
+    assert "Traceback" not in err.getvalue()
