@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -302,3 +303,21 @@ def test_certificate_verdict_ignores_isolated_vertices():
             padded = verify_theorem_instance(Graph(g.n + k, g.edges()))
             assert certificate_holds(padded) == certificate_holds(cert), (to_graph6(g), k)
             assert padded["equality_case"] == cert["equality_case"], (to_graph6(g), k)
+
+
+def test_certificates_are_pinned():
+    # sha256 of the concatenated `verify_theorem_instance` JSON of every class
+    # with 1..9 edges in stream order, then K5 and K5 plus a pendant edge:
+    # 2,265 certificates.  The component labels seen cover every named shape.
+    k5 = complete(5)
+    graphs = [g for m in range(1, 10) for g in enumerate_by_edges(m)]
+    graphs += [k5, Graph(6, list(k5.edges()) + [(0, 5)])]
+    digest = hashlib.sha256()
+    shapes = set()
+    for g in graphs:
+        cert = verify_theorem_instance(g)
+        digest.update(json.dumps(cert).encode())
+        shapes.update(c["class"].split("(")[0] for c in cert["components"] or ())
+    assert len(graphs) == 2265
+    assert digest.hexdigest() == "e363799ca5f5f97921b811580bb0a79cdee3c1b86abf447206426f6d37fb086c"
+    assert {"Star", "StarPlusEdge", "Path", "Cycle", "K4-e", "K4"} <= shapes
