@@ -8,7 +8,8 @@ identical open or closed neighborhoods are swapped by an automorphism, so
 the skipped branches cannot improve the minimum).  The whole-graph
 certificate concatenates the component certificates in sorted order,
 which makes disjoint unions of many small components cheap instead of
-catastrophically symmetric.
+catastrophically symmetric.  The certificate is plain `bytes`: equal bytes
+mean isomorphic graphs, and they sort and hash as bytes do.
 
 The search also finds the automorphism group G of the component and
 prunes with it (first-path automorphism pruning; McKay and Piperno,
@@ -51,17 +52,9 @@ can change a certificate, an order or a generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph, _induced_rows
-
-
-@dataclass(frozen=True)
-class CanonicalLabel:
-    """Isomorphism-class certificate: equal data iff isomorphic graphs."""
-
-    data: bytes
 
 
 def _refine(adj, cells, work):
@@ -188,9 +181,13 @@ def _canonical_pieces(g: Graph):
     return tuple(pieces)
 
 
-def canonical_label(g: Graph) -> CanonicalLabel:
-    data = g.n.to_bytes(2, "big") + b"".join(piece[0] for piece in _canonical_pieces(g))
-    return CanonicalLabel(data)
+def canonical_label(g: Graph) -> bytes:
+    """The certificate of g's isomorphism class: equal bytes iff isomorphic graphs.
+
+    Two bytes of vertex count, then each component's certificate (two bytes
+    of order and its least bit string) in sorted order.
+    """
+    return g.n.to_bytes(2, "big") + b"".join(piece[0] for piece in _canonical_pieces(g))
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:

@@ -474,7 +474,7 @@ def extremal_search(m: int, spec: ThetaSpec, *,
         # The canonical form, not the tree's representative, so that the
         # record depends on the class set alone.
         h = canonical_form(g)
-        entry = (spectral_radius(h).lam, canonical_label(g).data, h)
+        entry = (spectral_radius(h).lam, canonical_label(g), h)
         i = 0
         while i < len(top) and _rank(entry, top[i]) >= 0:
             i += 1

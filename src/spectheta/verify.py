@@ -4,6 +4,11 @@ book.  Here are its bound, the vertex u* that its lemmas are stated at, the
 decomposition and structure checks around u*, the certificate of one graph
 with its verdict, and the table of searched maxima against the bound.
 
+The results are plain values, as the certificate prints them: a component
+shape is a label string such as `Star(3)` or `K4-e`, and the lemma
+checklist is a list of `{"id", "description", "holds"}` dicts, with a
+`"witness"` where a conclusion fails.
+
 Everything here is a report, not a proof: the checks evaluate structural
 conclusions that are known to hold for the true spectral maximizer among
 theta-free graphs of a given size.  Failures on other inputs are expected
@@ -58,46 +63,37 @@ def extremal_vertex(g: Graph, res: SpectralResult) -> int:
     return next(v for v in canonical_order(g) if v in tied)
 
 
-@dataclass(frozen=True)
-class ComponentClass:
-    """Exact shape of one nontrivial neighborhood component."""
+def classify_component(h: Graph) -> str:
+    """The shape of a connected graph with at least one edge, as the label
+    the certificate prints: `Star(k)` (k leaves), `StarPlusEdge`,
+    `Path(n)` (n >= 4 vertices), `Cycle(n)`, `K4`, `K4-e` or `Other`.
 
-    kind: str  # star, star_plus_edge, path, cycle, k4, k4_minus_e, other
-    size: int | None = None
-
-    def label(self) -> str:
-        if self.kind == "star":
-            return f"Star({self.size})"
-        if self.kind == "path":
-            return f"Path({self.size})"
-        if self.kind == "cycle":
-            return f"Cycle({self.size})"
-        return {"star_plus_edge": "StarPlusEdge", "k4": "K4", "k4_minus_e": "K4-e", "other": "Other"}[self.kind]
-
-
-def classify_component(h: Graph) -> ComponentClass:
-    """Match a connected graph with at least one edge against the named shapes."""
+    `StarPlusEdge` is only the paw, a star with three leaves plus an edge
+    between two of them.  With four or more leaves, the cone over a star
+    plus an edge holds a (2,2,3) theta (checked with `contains_theta` for
+    4..7 leaves), so no such neighborhood component occurs in a free graph.
+    """
     n, m = h.n, h.m
     degrees = sorted(h.degree(v) for v in range(n))
     if m == n - 1 and degrees[-1] == n - 1:
-        return ComponentClass("star", n - 1)
+        return f"Star({n - 1})"
     if n == 4 and m == 4 and degrees == [1, 2, 2, 3]:
-        return ComponentClass("star_plus_edge")
+        return "StarPlusEdge"
     if m == n - 1 and degrees == [1, 1] + [2] * (n - 2):
-        return ComponentClass("path", n)
+        return f"Path({n})"
     if m == n and degrees == [2] * n:
-        return ComponentClass("cycle", n)
+        return f"Cycle({n})"
     if n == 4 and m == 6:
-        return ComponentClass("k4")
+        return "K4"
     if n == 4 and m == 5 and degrees == [2, 2, 3, 3]:
-        return ComponentClass("k4_minus_e")
-    return ComponentClass("other")
+        return "K4-e"
+    return "Other"
 
 
 @dataclass(frozen=True)
 class ComponentReport:
     vertices: tuple[int, ...]
-    cls: ComponentClass
+    cls: str  # the label of classify_component
     w_neighbors: tuple[int, ...]
 
 
@@ -177,34 +173,11 @@ def has_long_cycle(h: Graph) -> bool:
     return max(tri, default=0) > 1 or sum(tri) // 3 != h.m - h.n + h.component_count()
 
 
-@dataclass(frozen=True)
-class ChecklistEntry:
-    id: str
-    description: str
-    holds: bool
-    witness: object = None
-
-    def to_json(self) -> dict:
-        out = {"id": self.id, "description": self.description, "holds": self.holds}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass(frozen=True)
-class LemmaChecklist:
-    entries: tuple[ChecklistEntry, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(e.holds for e in self.entries)
-
-    def to_json(self) -> list:
-        return [e.to_json() for e in self.entries]
-
-
-def check_lemma_conclusions(g: Graph, report: DecompositionReport) -> LemmaChecklist:
+def check_lemma_conclusions(g: Graph, report: DecompositionReport) -> list[dict]:
     """Evaluate each maximizer-structure conclusion on this concrete graph.
+
+    Returns the certificate's `lemmas` list: one `{"id", "description",
+    "holds"}` dict per conclusion, with a `"witness"` key when it fails.
 
     Requires a connected graph that is free of the (2,2,3) theta; on
     feasible non-maximizers individual entries may fail, which is data,
@@ -217,7 +190,7 @@ def check_lemma_conclusions(g: Graph, report: DecompositionReport) -> LemmaCheck
     return _lemma_checklist(g, report)
 
 
-def _lemma_checklist(g: Graph, report: DecompositionReport) -> LemmaChecklist:
+def _lemma_checklist(g: Graph, report: DecompositionReport) -> list[dict]:
     # check_lemma_conclusions without its precondition checks, for callers
     # that already know g is connected and (2,2,3)-free.  Each entry is the
     # first witness against it, and it holds exactly when there is none.
@@ -228,7 +201,7 @@ def _lemma_checklist(g: Graph, report: DecompositionReport) -> LemmaChecklist:
         return (g.adj[v] & umask).bit_count()
 
     def first_component(is_bad):
-        return next(({"component": list(c.vertices), "class": c.cls.label()}
+        return next(({"component": list(c.vertices), "class": c.cls}
                      for c in report.components if is_bad(c.cls)), None)
 
     long_cycle_comps = [c for c in report.components
@@ -253,19 +226,20 @@ def _lemma_checklist(g: Graph, report: DecompositionReport) -> LemmaChecklist:
               None)),
         ("no_star_plus_edge_component",
          "no neighborhood component is a star with one extra edge",
-         first_component(lambda cls: cls.kind == "star_plus_edge")),
+         first_component(lambda cls: cls == "StarPlusEdge")),
         ("no_triangle_component",
          "no neighborhood component is a triangle",
-         first_component(lambda cls: cls == ComponentClass("cycle", 3))),
+         first_component(lambda cls: cls == "Cycle(3)")),
         ("no_long_path_component",
          "no neighborhood component is a path on >= 4 vertices",
-         first_component(lambda cls: cls.kind == "path")),
+         first_component(lambda cls: cls.startswith("Path("))),
         ("neighborhood_components_all_stars",
          "every nontrivial component of the neighborhood subgraph is a star",
-         first_component(lambda cls: cls.kind != "star")),
+         first_component(lambda cls: not cls.startswith("Star("))),
     )
-    return LemmaChecklist(tuple(ChecklistEntry(entry_id, text, witness is None, witness)
-                                for entry_id, text, witness in entries))
+    return [{"id": entry_id, "description": text, "holds": witness is None}
+            | ({} if witness is None else {"witness": witness})
+            for entry_id, text, witness in entries]
 
 
 def inequality_one_check(g: Graph, report: DecompositionReport,
@@ -324,9 +298,9 @@ def verify_theorem_instance(g: Graph) -> dict:
     cert["ustar"] = report.ustar if connected else None
     cert["ledger"] = report.ledger if connected else None
     cert["components"] = [
-        {"vertices": list(c.vertices), "class": c.cls.label()} for c in report.components
+        {"vertices": list(c.vertices), "class": c.cls} for c in report.components
     ] if connected else None
-    cert["lemmas"] = _lemma_checklist(g, report).to_json() if connected else None
+    cert["lemmas"] = _lemma_checklist(g, report) if connected else None
     cert["inequality1"] = inequality_one_check(g, report, res) if connected else None
     claimed = lam is not None and bound is not None and abs(lam - bound) <= COMPARISON_TOL
     iso_to_book = claimed and is_book(g.induced(v for v in range(g.n) if g.adj[v]))

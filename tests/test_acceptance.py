@@ -11,8 +11,6 @@ import math
 import time
 from pathlib import Path
 
-import pytest
-
 from helpers import brute_force_class_key, labeled_graphs_with_edges, random_connected_graph
 
 from spectheta import (
@@ -124,8 +122,8 @@ def test_c4_enumerator_correctness():
     # cross-check here targets the enumerator's completeness and
     # duplicate-freeness.
     for m in range(1, 6):
-        oracle = {canonical_label(g).data for g in labeled_graphs_with_edges(m)}
-        mine = [canonical_label(g).data for g in enumerate_by_edges(m)]
+        oracle = {canonical_label(g) for g in labeled_graphs_with_edges(m)}
+        mine = [canonical_label(g) for g in enumerate_by_edges(m)]
         assert len(mine) == len(set(mine)), f"duplicates at m={m}"
         assert set(mine) == oracle, f"class mismatch at m={m}"
     elapsed = time.time() - start
@@ -214,8 +212,8 @@ def test_c8_lemma_checklist_on_maximizers():
         checklist = check_lemma_conclusions(g, decompose(g, res))
         assert rec.best_graph6 == row["best_graph6"], f"m={m}"
         assert rec.num_candidates == row["num_candidates"], f"m={m}"
-        assert checklist.all_hold == row["all_hold"], f"m={m}"
-        assert checklist.to_json() == row["entries"], f"m={m}"
+        assert all(e["holds"] for e in checklist) == row["all_hold"], f"m={m}"
+        assert checklist == row["entries"], f"m={m}"
         assert abs(rec.best_lambda - row["best_lambda"]) <= 1e-12, f"m={m}"
         assert abs(bound_value(m) - row["bound"]) <= 1e-12, f"m={m}"
     # hard pass: the book family satisfies every conclusion
@@ -223,7 +221,7 @@ def test_c8_lemma_checklist_on_maximizers():
         g = book(k)
         res = spectral_radius(g)
         checklist = check_lemma_conclusions(g, decompose(g, res))
-        assert checklist.all_hold, f"book({k})"
+        assert all(e["holds"] for e in checklist), f"book({k})"
     failing = [row["m"] for row in archived if not row["all_hold"]]
     elapsed = time.time() - start
     assert elapsed < 600.0, f"took {elapsed:.1f}s"

@@ -63,8 +63,8 @@ def test_enumerate_stream(capsys):
 
     code, out, _ = run_cli(capsys, ["enumerate", "--edges", "3", "--connected"])
     assert code == 0
-    got = {canonical_label(from_graph6(line)).data for line in out.split()}
-    want = {canonical_label(g).data for g in (complete(3), path(4), star(4))}
+    got = {canonical_label(from_graph6(line)) for line in out.split()}
+    want = {canonical_label(g) for g in (complete(3), path(4), star(4))}
     assert got == want
 
 

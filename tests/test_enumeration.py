@@ -81,11 +81,11 @@ FREE_CERTIFICATE_SET_DIGESTS = {
 
 def test_tiny_levels_match_hand_enumeration():
     assert [canonical_label(g) for g in enumerate_by_edges(1)] == [canonical_label(complete(2))]
-    got = {canonical_label(g).data for g in enumerate_by_edges(2)}
-    want = {canonical_label(path(3)).data, canonical_label(Graph(4, [(0, 1), (2, 3)])).data}
+    got = {canonical_label(g) for g in enumerate_by_edges(2)}
+    want = {canonical_label(path(3)), canonical_label(Graph(4, [(0, 1), (2, 3)]))}
     assert got == want
-    got = {canonical_label(g).data for g in enumerate_by_edges(3, True)}
-    want = {canonical_label(h).data for h in (complete(3), path(4), star(4))}
+    got = {canonical_label(g) for g in enumerate_by_edges(3, True)}
+    want = {canonical_label(h) for h in (complete(3), path(4), star(4))}
     assert got == want
 
 
@@ -99,7 +99,7 @@ def test_class_counts():
 def test_certificate_sets_frozen():
     # The class set, not just its size, is the same as the frozen one.
     for (m, connected), (count, digest) in CERTIFICATE_SET_DIGESTS.items():
-        certs = sorted(canonical_label(g).data for g in enumerate_by_edges(m, connected))
+        certs = sorted(canonical_label(g) for g in enumerate_by_edges(m, connected))
         assert len(certs) == count
         assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
 
@@ -108,13 +108,13 @@ def test_free_certificate_sets_frozen():
     # The theta prune keeps exactly the frozen free class sets.
     for (spec, connected), (count, digest) in FREE_CERTIFICATE_SET_DIGESTS.items():
         free = ThetaSpec(*spec)
-        certs = sorted(canonical_label(g).data for g in enumerate_by_edges(9, connected, free=free))
+        certs = sorted(canonical_label(g) for g in enumerate_by_edges(9, connected, free=free))
         assert len(certs) == count
         assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
 
 
 def _component_certificates(g):
-    return tuple(sorted(canonical_label(g.induced(c)).data for c in g.components()))
+    return tuple(sorted(canonical_label(g.induced(c)) for c in g.components()))
 
 
 def test_disconnected_classes_are_unions_of_connected_ones():
@@ -233,11 +233,11 @@ def test_least_pair_filter_drops_only_rejected_children():
     # full deletion test, with neither the orbit cut nor the pair filter.
     for m in range(1, 8):
         for g in enumerate_by_edges(m):
-            cert = canonical_label(g).data
+            cert = canonical_label(g)
             kept = []
             for child, edge in all_augmentations(g):
                 u, v = canonical_edge(child)
-                accepted = canonical_label(delete_with_cleanup(child, u, v)).data == cert
+                accepted = canonical_label(delete_with_cleanup(child, u, v)) == cert
                 if _carries_least_pair(child, edge):
                     kept.append((child, accepted))
                 else:
@@ -245,7 +245,7 @@ def test_least_pair_filter_drops_only_rejected_children():
             seen = set()
             want = []
             for child, accepted in kept:
-                ccert = canonical_label(child).data
+                ccert = canonical_label(child)
                 if ccert not in seen:
                     seen.add(ccert)
                     if accepted:
@@ -259,14 +259,14 @@ def test_no_duplicates_and_basic_shape():
         for g in enumerate_by_edges(m):
             assert g.m == m
             assert g.min_degree() >= 1
-            certs.append(canonical_label(g).data)
+            certs.append(canonical_label(g))
         assert len(certs) == len(set(certs))
 
 
 def test_connected_only_filters():
     for m in range(1, 7):
-        allc = {canonical_label(g).data for g in enumerate_by_edges(m) if g.is_connected()}
-        conn = {canonical_label(g).data for g in enumerate_by_edges(m, True)}
+        allc = {canonical_label(g) for g in enumerate_by_edges(m) if g.is_connected()}
+        conn = {canonical_label(g) for g in enumerate_by_edges(m, True)}
         assert conn == allc
 
 
@@ -297,7 +297,7 @@ def test_enumerate_by_order_counts():
         graphs = list(enumerate_by_order(n))
         assert len(graphs) == count
         assert all(g.n == n for g in graphs)
-        certs = {canonical_label(g).data for g in graphs}
+        certs = {canonical_label(g) for g in graphs}
         assert len(certs) == count
     with pytest.raises(BudgetError):
         list(enumerate_by_order(9))
