@@ -129,7 +129,7 @@ def _cmd_free(args) -> int:
     for g in _input_graphs(args):
         witness = contains_theta(g, args.spec)
         if witness is not None:
-            print(json.dumps(witness.to_json()))
+            print(json.dumps(witness))
             code = 1
     return code
 

@@ -197,6 +197,13 @@ class Graph:
 # list, which for an order far beyond MAX_N would exhaust memory first.
 
 
+def _check_family_order(name: str, n, least: int) -> None:
+    # The order check of the builders that take n: their least n, then MAX_N.
+    if not isinstance(n, int) or n < least:
+        raise ValueError(f"{name} needs n >= {least}, got {n!r}")
+    _check_order(n)
+
+
 def book(k: int) -> Graph:
     """Two adjacent hubs (vertices 0 and 1) joined to k independent pages."""
     if not isinstance(k, int) or k < 1:
@@ -211,31 +218,23 @@ def book(k: int) -> Graph:
 
 def star(n: int) -> Graph:
     """Star on n vertices: center 0 joined to n-1 leaves."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"star needs n >= 1, got {n!r}")
-    _check_order(n)
+    _check_family_order("star", n, 1)
     return Graph(n, [(0, v) for v in range(1, n)])
 
 
 def star_plus_edge(n: int) -> Graph:
     """Star on n vertices with one extra edge between two leaves."""
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"star_plus_edge needs n >= 3, got {n!r}")
-    _check_order(n)
+    _check_family_order("star_plus_edge", n, 3)
     return Graph(n, [(0, v) for v in range(1, n)] + [(1, 2)])
 
 
 def complete(n: int) -> Graph:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"complete needs n >= 1, got {n!r}")
-    _check_order(n)
+    _check_family_order("complete", n, 1)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_minus_edge(n: int) -> Graph:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"complete_minus_edge needs n >= 2, got {n!r}")
-    _check_order(n)
+    _check_family_order("complete_minus_edge", n, 2)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
     return Graph(n, edges)
 
@@ -248,16 +247,12 @@ def complete_bipartite(s: int, t: int) -> Graph:
 
 
 def path(n: int) -> Graph:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"path needs n >= 1, got {n!r}")
-    _check_order(n)
+    _check_family_order("path", n, 1)
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n!r}")
-    _check_order(n)
+    _check_family_order("cycle", n, 3)
     return Graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 

@@ -8,7 +8,9 @@ subgraph semantics: chords inside witness paths are allowed.
 generation tree's prune.  It takes the vertices of degree >= 3 two at a
 time, in lexicographic order, as hub pairs, and `_theta_between` searches
 the three paths of one pair, each by ascending neighbour id.  The first
-witness found is returned.
+witness found is returned as the JSON value that `free` and `verify`
+print: `{"hubs": [a, b], "paths": [[a, ..., b], [a, ..., b], [a, ..., b]]}`,
+the paths of lengths r, p and q in that order.
 
 The length-2 paths between two hubs are their common neighbours and are
 interchangeable, so the search could count them instead of enumerating
@@ -73,18 +75,6 @@ class ThetaSpec:
         return f"{self.r},{self.p},{self.q}"
 
 
-@dataclass(frozen=True)
-class ThetaWitness:
-    """Two hubs and three full hub-to-hub vertex sequences of lengths r, p, q."""
-
-    hub_a: int
-    hub_b: int
-    paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    def to_json(self) -> dict:
-        return {"hubs": [self.hub_a, self.hub_b], "paths": [list(p) for p in self.paths]}
-
-
 def theta_graph(spec: ThetaSpec) -> Graph:
     """The theta graph itself: hubs 0 and 1, internal vertices numbered per path."""
     edges = []
@@ -99,29 +89,22 @@ def theta_graph(spec: ThetaSpec) -> Graph:
     return Graph(nxt, edges)
 
 
-def validate_witness(g: Graph, spec: ThetaSpec, w: ThetaWitness) -> bool:
-    """Pure recheck of a witness against its host graph."""
-    if w.hub_a == w.hub_b or len(w.paths) != 3:
+def validate_witness(g: Graph, spec: ThetaSpec, w: dict) -> bool:
+    """Pure recheck of a witness against its host graph: hubs a != b and
+    three paths from a to b of lengths r, p and q, along edges of g, whose
+    internal vertices are distinct and avoid the hubs and the other paths.
+    """
+    (a, b), paths = w["hubs"], w["paths"]
+    if a == b or len(paths) != 3:
         return False
-    lengths = (spec.r, spec.p, spec.q)
-    internal_union = 0
-    for seq, length in zip(w.paths, lengths):
-        if len(seq) != length + 1 or seq[0] != w.hub_a or seq[-1] != w.hub_b:
+    used = {a, b}
+    for seq, length in zip(paths, (spec.r, spec.p, spec.q)):
+        internals = set(seq[1:-1])
+        if (len(seq) != length + 1 or seq[0] != a or seq[-1] != b
+                or len(internals) != length - 1 or internals & used
+                or not all(g.has_edge(u, v) for u, v in zip(seq, seq[1:]))):
             return False
-        if len(set(seq)) != len(seq):
-            return False
-        for a, b in zip(seq, seq[1:]):
-            if not g.has_edge(a, b):
-                return False
-        internals = seq[1:-1]
-        if w.hub_a in internals or w.hub_b in internals:
-            return False
-        imask = 0
-        for v in internals:
-            imask |= 1 << v
-        if imask & internal_union:
-            return False
-        internal_union |= imask
+        used |= internals
     return True
 
 
@@ -159,14 +142,14 @@ def _theta_between(g, spec, a, b):
             for v in second:
                 m2 |= 1 << v
             for third in _paths(g, a, b, spec.q, m2):
-                return ThetaWitness(
-                    a, b, ((a, *first, b), (a, *second, b), (a, *third, b))
-                )
+                return {"hubs": [a, b],
+                        "paths": [[a, *first, b], [a, *second, b], [a, *third, b]]}
     return None
 
 
-def contains_theta(g: Graph, spec: ThetaSpec):
-    """First theta witness in deterministic order, or None.
+def contains_theta(g: Graph, spec: ThetaSpec) -> dict | None:
+    """First theta witness in deterministic order, as a `{"hubs", "paths"}`
+    dict, or None.
 
     Hub pairs are scanned in increasing lexicographic order and paths by
     ascending neighbor id, so repeated runs return the same witness.  The

@@ -4,10 +4,12 @@ book.  Here are its bound, the vertex u* that its lemmas are stated at, the
 decomposition and structure checks around u*, the certificate of one graph
 with its verdict, and the table of searched maxima against the bound.
 
-The results are plain values, as the certificate prints them: a component
-shape is a label string such as `Star(3)` or `K4-e`, and the lemma
+The results are plain values, as the certificate prints them: the
+decomposition is the certificate's `{"ustar", "ledger", "components"}`, a
+component shape is a label string such as `Star(3)` or `K4-e`, the lemma
 checklist is a list of `{"id", "description", "holds"}` dicts, with a
-`"witness"` where a conclusion fails.
+`"witness"` where a conclusion fails, and a theta witness is the
+`{"hubs", "paths"}` dict of `contains_theta`.
 
 Everything here is a report, not a proof: the checks evaluate structural
 conclusions that are known to hold for the true spectral maximizer among
@@ -18,12 +20,11 @@ and are recorded with witnesses, never raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .canon import canonical_order, twin_classes
 from .enumeration import DEFAULT_EDGE_BUDGET, _check_edge_budget, extremal_search
 from .graph6 import to_graph6
-from .graphs import Graph, bit_indices, vertex_mask
+from .graphs import Graph, bit_indices
 from .spectral import COMPARISON_TOL, SpectralResult, spectral_radius
 from .theta import ThetaSpec, contains_theta
 
@@ -90,54 +91,33 @@ def classify_component(h: Graph) -> str:
     return "Other"
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    vertices: tuple[int, ...]
-    cls: str  # the label of classify_component
-    w_neighbors: tuple[int, ...]
+def _ball(g: Graph, ustar: int) -> tuple[int, int]:
+    # U = N(u*) and W, the vertices outside the closed ball, as bitmasks.
+    umask = g.adj[ustar]
+    return umask, ((1 << g.n) - 1) & ~umask & ~(1 << ustar)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Vertex partition around the extremal vertex with the edge-count ledger.
+def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> dict:
+    """The structure around u*, as the certificate's `{"ustar", "ledger",
+    "components"}`.
 
-    U is the neighborhood of ustar, W everything outside the closed
-    neighborhood; U0/Uplus split U by isolation inside the induced
-    subgraph on U.  The ledger satisfies m = |U| + e(Uplus) + e(U, W) + e(W).
+    u* defaults to `extremal_vertex(g, res)`.  U is the neighbourhood of
+    u*, W the vertices outside its closed neighbourhood, and U+ the
+    vertices of U with a neighbour in U.  The ledger `{"sizeU", "eUplus",
+    "eUW", "eW", "m"}` satisfies m = |U| + e(U+) + e(U, W) + e(W), since
+    every edge at u* goes into U and an edge inside U lies inside U+.  The
+    components are those of the subgraph on U+, each as `{"vertices",
+    "class"}` with the label of `classify_component`.
     """
-
-    ustar: int
-    U: tuple[int, ...]
-    W: tuple[int, ...]
-    U0: tuple[int, ...]
-    Uplus: tuple[int, ...]
-    components: tuple[ComponentReport, ...]
-    ledger: dict
-
-
-def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> DecompositionReport:
     if not g.is_connected():
         raise ValueError("decompose requires a connected graph")
     if ustar is None:
         ustar = extremal_vertex(g, res)
     g._check_vertex(ustar)
-    umask = g.adj[ustar]
-    wmask = ((1 << g.n) - 1) & ~umask & ~(1 << ustar)
-    u0 = [u for u in bit_indices(umask) if not g.adj[u] & umask]
-    uplus = [u for u in bit_indices(umask) if g.adj[u] & umask]
-    components = []
-    # Every U-neighbour of a U+ vertex is itself in U+, so the components of
-    # the subgraph on U+ are the nontrivial components of the subgraph on U.
-    for comp in g.induced(uplus).components():
-        verts = tuple(uplus[i] for i in comp)
-        wn = 0
-        for v in verts:
-            wn |= g.adj[v] & wmask
-        components.append(
-            ComponentReport(verts, classify_component(g.induced(verts)), tuple(bit_indices(wn)))
-        )
+    umask, wmask = _ball(g, ustar)
     u_list = list(bit_indices(umask))
     w_list = list(bit_indices(wmask))
+    uplus = [u for u in u_list if g.adj[u] & umask]
     ledger = {
         "sizeU": len(u_list),
         "eUplus": g.edge_count_between(uplus, uplus),
@@ -145,15 +125,13 @@ def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> Decomp
         "eW": g.edge_count_between(w_list, w_list),
         "m": g.m,
     }
-    return DecompositionReport(
-        ustar=ustar,
-        U=tuple(u_list),
-        W=tuple(w_list),
-        U0=tuple(u0),
-        Uplus=tuple(uplus),
-        components=tuple(components),
-        ledger=ledger,
-    )
+    # Every U-neighbour of a U+ vertex is itself in U+, so the components of
+    # the subgraph on U+ are the nontrivial components of the subgraph on U.
+    components = []
+    for comp in g.induced(uplus).components():
+        verts = [uplus[i] for i in comp]
+        components.append({"vertices": verts, "class": classify_component(g.induced(verts))})
+    return {"ustar": ustar, "ledger": ledger, "components": components}
 
 
 def has_long_cycle(h: Graph) -> bool:
@@ -173,7 +151,7 @@ def has_long_cycle(h: Graph) -> bool:
     return max(tri, default=0) > 1 or sum(tri) // 3 != h.m - h.n + h.component_count()
 
 
-def check_lemma_conclusions(g: Graph, report: DecompositionReport) -> list[dict]:
+def check_lemma_conclusions(g: Graph, report: dict) -> list[dict]:
     """Evaluate each maximizer-structure conclusion on this concrete graph.
 
     Returns the certificate's `lemmas` list: one `{"id", "description",
@@ -190,40 +168,46 @@ def check_lemma_conclusions(g: Graph, report: DecompositionReport) -> list[dict]
     return _lemma_checklist(g, report)
 
 
-def _lemma_checklist(g: Graph, report: DecompositionReport) -> list[dict]:
+def _lemma_checklist(g: Graph, report: dict) -> list[dict]:
     # check_lemma_conclusions without its precondition checks, for callers
     # that already know g is connected and (2,2,3)-free.  Each entry is the
     # first witness against it, and it holds exactly when there is none.
-    umask = vertex_mask(report.U)
-    wmask = vertex_mask(report.W)
+    umask, wmask = _ball(g, report["ustar"])
+    components = report["components"]
 
     def d_u(v):
         return (g.adj[v] & umask).bit_count()
 
-    def first_component(is_bad):
-        return next(({"component": list(c.vertices), "class": c.cls}
-                     for c in report.components if is_bad(c.cls)), None)
+    def w_neighbors(verts):
+        rows = 0
+        for v in verts:
+            rows |= g.adj[v]
+        return bit_indices(rows & wmask)
 
-    long_cycle_comps = [c for c in report.components
-                        if has_long_cycle(g.induced(c.vertices))]
+    def first_component(is_bad):
+        return next(({"component": c["vertices"], "class": c["class"]}
+                     for c in components if is_bad(c["class"])), None)
+
+    long_cycle_comps = [c["vertices"] for c in components
+                        if has_long_cycle(g.induced(c["vertices"]))]
     entries = (
         ("min_degree_outside_ball",
          "every vertex outside the closed neighborhood of the extremal vertex has degree >= 2",
-         next(({"vertex": w, "degree": g.degree(w)} for w in report.W if g.degree(w) < 2),
-              None)),
+         next(({"vertex": w, "degree": g.degree(w)} for w in bit_indices(wmask)
+               if g.degree(w) < 2), None)),
         ("w_degree_cap_near_long_cycles",
          "outside neighbors of a neighborhood component that contains a cycle of "
          "length >= 4 send at most 2 edges into the neighborhood "
          "(vacuous when no such component exists)",
-         next(({"component": list(c.vertices), "w_vertex": w, "d_U": d_u(w)}
-               for c in long_cycle_comps for w in c.w_neighbors if d_u(w) > 2), None)),
+         next(({"component": verts, "w_vertex": w, "d_U": d_u(w)}
+               for verts in long_cycle_comps for w in w_neighbors(verts) if d_u(w) > 2), None)),
         ("no_long_cycle_in_neighborhood",
          "no component of the neighborhood subgraph contains a cycle of length >= 4",
-         next(({"component": list(c.vertices)} for c in long_cycle_comps), None)),
+         next(({"component": verts} for verts in long_cycle_comps), None)),
         ("no_edges_outside_ball",
          "the set outside the closed neighborhood of the extremal vertex spans no edge",
-         next(({"edge": [u, v]} for u in report.W for v in bit_indices(g.adj[u] & wmask)),
-              None)),
+         next(({"edge": [u, v]} for u in bit_indices(wmask)
+               for v in bit_indices(g.adj[u] & wmask)), None)),
         ("no_star_plus_edge_component",
          "no neighborhood component is a star with one extra edge",
          first_component(lambda cls: cls == "StarPlusEdge")),
@@ -242,8 +226,7 @@ def _lemma_checklist(g: Graph, report: DecompositionReport) -> list[dict]:
             for entry_id, text, witness in entries]
 
 
-def inequality_one_check(g: Graph, report: DecompositionReport,
-                         res: SpectralResult) -> dict:
+def inequality_one_check(g: Graph, report: dict, res: SpectralResult) -> dict:
     """Evaluate the weighted edge-budget inequality around the extremal vertex.
 
     Applicable when lambda^2 - lambda >= m - 1; the true maximizer
@@ -252,17 +235,22 @@ def inequality_one_check(g: Graph, report: DecompositionReport,
     """
     lam = res.lam
     x = res.perron
-    xs = float(x[report.ustar])
-    umask = vertex_mask(report.U)
+    xs = float(x[report["ustar"]])
+    umask, wmask = _ball(g, report["ustar"])
     lhs = 0.0
-    for u in report.Uplus:
+    u0 = []
+    for u in bit_indices(umask):
         du = (g.adj[u] & umask).bit_count()
-        lhs += (du - 1) * float(x[u]) / xs
-    for w in report.W:
+        if du:
+            lhs += (du - 1) * float(x[u]) / xs
+        else:
+            u0.append(u)
+    for w in bit_indices(wmask):
         dw = (g.adj[w] & umask).bit_count()
         lhs += dw * float(x[w]) / xs
-    rhs = (report.ledger["eUplus"] + report.ledger["eUW"] + report.ledger["eW"]
-           + sum(float(x[u]) / xs for u in report.U0) - 1.0)
+    ledger = report["ledger"]
+    rhs = (ledger["eUplus"] + ledger["eUW"] + ledger["eW"]
+           + sum(float(x[u]) / xs for u in u0) - 1.0)
     return {
         "applicable": lam * lam - lam >= g.m - 1 - COMPARISON_TOL,
         "lhs": lhs,
@@ -294,14 +282,13 @@ def verify_theorem_instance(g: Graph) -> dict:
     cert: dict = {"graph6": to_graph6(g), "m": g.m, "lambda": lam, "bound": bound,
                   "theta_free": free}
     if not free:
-        cert["witness"] = witness.to_json()
-    cert["ustar"] = report.ustar if connected else None
-    cert["ledger"] = report.ledger if connected else None
-    cert["components"] = [
-        {"vertices": list(c.vertices), "class": c.cls} for c in report.components
-    ] if connected else None
-    cert["lemmas"] = _lemma_checklist(g, report) if connected else None
-    cert["inequality1"] = inequality_one_check(g, report, res) if connected else None
+        cert["witness"] = witness
+    if connected:
+        cert |= report
+        cert["lemmas"] = _lemma_checklist(g, report)
+        cert["inequality1"] = inequality_one_check(g, report, res)
+    else:
+        cert |= dict.fromkeys(("ustar", "ledger", "components", "lemmas", "inequality1"))
     claimed = lam is not None and bound is not None and abs(lam - bound) <= COMPARISON_TOL
     iso_to_book = claimed and is_book(g.induced(v for v in range(g.n) if g.adj[v]))
     cert["equality_case"] = {"claimed": claimed, "iso_to_book": iso_to_book}

@@ -167,9 +167,9 @@ def test_c6_decomposition_identities():
         g = random_connected_graph(rng, max_n=20)
         res = spectral_radius(g)
         rep = decompose(g, res)
-        ledger = rep.ledger
+        ledger = rep["ledger"]
         assert ledger["sizeU"] + ledger["eUplus"] + ledger["eUW"] + ledger["eW"] == g.m
-        first, second = eigen_identity_check(g, res, rep.ustar)
+        first, second = eigen_identity_check(g, res, rep["ustar"])
         assert first <= 1e-8 and second <= 1e-8, to_graph6(g)
     _report("6 decomposition identities", f"(1000 graphs, {time.time()-start:.1f}s)")
 

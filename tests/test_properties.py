@@ -175,7 +175,7 @@ def test_pendant_child_of_free_parent_is_free(g, data, spec):
     # on no theta, so the child stays free.
     parent = g
     while (w := contains_theta(parent, spec)) is not None:
-        parent = parent.without_edge(*w.paths[0][:2])
+        parent = parent.without_edge(*w["paths"][0][:2])
     u = data.draw(st.integers(min_value=0, max_value=parent.n - 1))
     child = Graph(parent.n + 1, list(parent.edges()) + [(u, parent.n)])
     assert not oracle_contains_theta(child, spec)

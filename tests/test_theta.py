@@ -48,7 +48,7 @@ def test_k23_is_theta_222():
     assert w is not None
     assert validate_witness(complete_bipartite(2, 3), ThetaSpec(2, 2, 2), w)
     # matches the direct K_{2,3} criterion: two vertices with >= 3 common neighbors
-    assert {w.hub_a, w.hub_b} == {0, 1}
+    assert set(w["hubs"]) == {0, 1}
 
 
 def test_negative_cases():
@@ -68,10 +68,10 @@ def test_book_plus_page_edge_contains_223():
     g = book(4).with_edge(2, 3)
     w = contains_theta(g, spec)
     assert w is not None
-    assert {w.hub_a, w.hub_b} == {0, 1}  # the original hubs
+    assert set(w["hubs"]) == {0, 1}  # the original hubs
     assert validate_witness(g, spec, w)
     # the length-3 path runs through the new page-page edge
-    assert len(w.paths[2]) == 4
+    assert len(w["paths"][2]) == 4
 
 
 def test_bipartite_hosts_are_223_free():
@@ -84,10 +84,28 @@ def test_bipartite_hosts_are_223_free():
 
 def test_witness_json_shape():
     w = contains_theta(complete_bipartite(2, 3), ThetaSpec(2, 2, 2))
-    data = w.to_json()
-    assert set(data) == {"hubs", "paths"}
-    assert len(data["paths"]) == 3
-    assert all(p[0] == data["hubs"][0] and p[-1] == data["hubs"][1] for p in data["paths"])
+    assert set(w) == {"hubs", "paths"}
+    assert len(w["paths"]) == 3
+    assert all(p[0] == w["hubs"][0] and p[-1] == w["hubs"][1] for p in w["paths"])
+
+
+def test_validate_witness_rejects_broken_witnesses():
+    spec = ThetaSpec(2, 2, 3)
+    g = book(4).with_edge(2, 3)
+    w = contains_theta(g, spec)
+    assert w == {"hubs": [0, 1], "paths": [[0, 4, 1], [0, 5, 1], [0, 2, 3, 1]]}
+    assert validate_witness(g, spec, w)
+    p0, p1, p2 = w["paths"]
+    broken = [
+        {"hubs": [0, 0], "paths": [p0, p1, p2]},  # equal hubs
+        {"hubs": [0, 1], "paths": [p0, p1]},  # only two paths
+        {"hubs": [0, 1], "paths": [p0, p1, [0, 2, 1]]},  # the length-3 path one vertex short
+        {"hubs": [0, 1], "paths": [[0, 2, 1], p1, [0, 4, 3, 1]]},  # 4-3 is not an edge
+        {"hubs": [0, 1], "paths": [p0, p0, p2]},  # two paths share vertex 4
+        {"hubs": [0, 1], "paths": [p0, p1, [0, 1, 3, 1]]},  # hub 1 as an internal vertex
+    ]
+    for b in broken:
+        assert not validate_witness(g, spec, b), b
 
 
 def test_witnesses_are_deterministic():
@@ -221,6 +239,7 @@ def test_first_witnesses_are_pinned():
     for r, p, q in ((2, 2, 3), (2, 2, 2), (1, 2, 2), (1, 2, 3), (3, 3, 3), (2, 3, 3)):
         for g in corpus:
             w = contains_theta(g, ThetaSpec(r, p, q))
-            lines.append("-\n" if w is None else json.dumps(w.to_json()) + "\n")
+            lines.append("-\n" if w is None else json.dumps(w) + "\n")
+            assert w is None or json.loads(json.dumps(w)) == w
     assert sum(line != "-\n" for line in lines) == 2_053
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == FIRST_WITNESS_DIGEST

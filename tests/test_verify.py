@@ -47,27 +47,22 @@ def _prepared(g):
 
 def test_decompose_book3():
     g, res, rep = _prepared(book(3))
-    assert rep.ustar == 0
-    assert rep.U == (1, 2, 3, 4)
-    assert rep.W == ()
-    assert rep.U0 == ()
-    assert rep.Uplus == (1, 2, 3, 4)
-    assert len(rep.components) == 1
-    assert rep.components[0].cls == "Star(3)"
-    assert rep.ledger == {"sizeU": 4, "eUplus": 3, "eUW": 0, "eW": 0, "m": 7}
+    assert rep["ustar"] == 0
+    assert rep["components"] == [{"vertices": [1, 2, 3, 4], "class": "Star(3)"}]
+    assert rep["ledger"] == {"sizeU": 4, "eUplus": 3, "eUW": 0, "eW": 0, "m": 7}
 
 
 def test_decompose_star():
     g, res, rep = _prepared(star(7))
-    assert rep.ustar == 0
-    assert rep.U0 == rep.U and rep.Uplus == () and rep.W == ()
-    assert rep.ledger == {"sizeU": 6, "eUplus": 0, "eUW": 0, "eW": 0, "m": 6}
+    assert rep["ustar"] == 0
+    assert rep["components"] == []
+    assert rep["ledger"] == {"sizeU": 6, "eUplus": 0, "eUW": 0, "eW": 0, "m": 6}
 
 
 def test_decompose_c6_ledger_balances():
     g, res, rep = _prepared(cycle(6))
-    assert rep.U == (1, 5) and rep.W == (2, 3, 4)
-    ledger = rep.ledger
+    assert rep["ustar"] == 0 and rep["components"] == []
+    ledger = rep["ledger"]
     assert ledger["sizeU"] + ledger["eUplus"] + ledger["eUW"] + ledger["eW"] == ledger["m"] == 6
 
 
@@ -78,16 +73,22 @@ def test_decompose_partition_and_ledger_random():
         res = spectral_radius(g)
         ustar = rng.randrange(g.n) if rng.random() < 0.5 else None
         rep = decompose(g, res, ustar)
-        ledger = rep.ledger
+        ledger = rep["ledger"]
+        U = g.neighbors(rep["ustar"])
+        W = [v for v in range(g.n) if v != rep["ustar"] and v not in U]
+        U0 = [u for u in U if not set(g.neighbors(u)) & set(U)]
+        Uplus = [u for u in U if u not in U0]
         assert ledger["sizeU"] + ledger["eUplus"] + ledger["eUW"] + ledger["eW"] == g.m
-        assert sorted((rep.ustar,) + rep.U + rep.W) == list(range(g.n))
-        assert sorted(rep.U0 + rep.Uplus) == sorted(rep.U)
+        assert ledger == {"sizeU": len(U), "eUplus": g.edge_count_between(Uplus, Uplus),
+                          "eUW": g.edge_count_between(U, W),
+                          "eW": g.edge_count_between(W, W), "m": g.m}
         # components partition U+, each connected inside U with no edge to another
-        assert sorted(v for c in rep.components for v in c.vertices) == sorted(rep.Uplus)
-        for c in rep.components:
-            assert g.induced(c.vertices).is_connected()
-            others = [v for d in rep.components if d is not c for v in d.vertices]
-            assert g.edge_count_between(c.vertices, others) == 0
+        comps = [c["vertices"] for c in rep["components"]]
+        assert sorted(v for c in comps for v in c) == Uplus
+        for c in comps:
+            assert g.induced(c).is_connected()
+            others = [v for d in comps if d is not c for v in d]
+            assert g.edge_count_between(c, others) == 0
 
 
 def test_decompose_rejects_disconnected():
@@ -192,18 +193,23 @@ def test_inequality_consistent_with_raw_recomputation():
         rep = decompose(g, res)
         out = inequality_one_check(g, rep, res)
         x = res.perron
-        xs = float(x[rep.ustar])
+        ustar = rep["ustar"]
+        xs = float(x[ustar])
+        U = g.neighbors(ustar)
+        W = [v for v in range(g.n) if v != ustar and v not in U]
+        U0 = [u for u in U if not set(g.neighbors(u)) & set(U)]
+        Uplus = [u for u in U if u not in U0]
         lhs = 0.0
-        for u in rep.Uplus:
-            du = sum(1 for w in g.neighbors(u) if w in rep.U)
+        for u in Uplus:
+            du = sum(1 for w in g.neighbors(u) if w in U)
             lhs += (du - 1) * float(x[u]) / xs
-        for w in rep.W:
-            dw = sum(1 for z in g.neighbors(w) if z in rep.U)
+        for w in W:
+            dw = sum(1 for z in g.neighbors(w) if z in U)
             lhs += dw * float(x[w]) / xs
-        e_uplus = sum(1 for a, b in g.edges() if a in rep.Uplus and b in rep.Uplus)
-        e_uw = sum(1 for a, b in g.edges() if (a in rep.U) != (b in rep.U) and rep.ustar not in (a, b))
-        e_w = sum(1 for a, b in g.edges() if a in rep.W and b in rep.W)
-        rhs = e_uplus + e_uw + e_w + sum(float(x[u]) / xs for u in rep.U0) - 1.0
+        e_uplus = sum(1 for a, b in g.edges() if a in Uplus and b in Uplus)
+        e_uw = sum(1 for a, b in g.edges() if (a in U) != (b in U) and ustar not in (a, b))
+        e_w = sum(1 for a, b in g.edges() if a in W and b in W)
+        rhs = e_uplus + e_uw + e_w + sum(float(x[u]) / xs for u in U0) - 1.0
         assert out["lhs"] == pytest.approx(lhs, abs=1e-10)
         assert out["rhs"] == pytest.approx(rhs, abs=1e-10)
 
@@ -284,6 +290,15 @@ def _class_fields(cert):
     # The certificate fields that the isomorphism class alone decides.
     return (certificate_holds(cert), cert["theta_free"],
             [(e["id"], e["holds"]) for e in cert["lemmas"]], cert["equality_case"])
+
+
+def test_certificate_structure_is_decompose_value():
+    # The certificate prints what decompose returns, key for key.
+    for m in range(1, 9):
+        for g in enumerate_by_edges(m, True, free=ThetaSpec(2, 2, 3)):
+            cert = verify_theorem_instance(g)
+            expected = {k: cert[k] for k in ("ustar", "ledger", "components")}
+            assert decompose(g, spectral_radius(g)) == expected, to_graph6(g)
 
 
 def test_certificate_invariant_under_relabelling():
