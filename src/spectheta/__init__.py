@@ -11,7 +11,6 @@ from .enumeration import (
     DEFAULT_EDGE_BUDGET,
     ExtremalRecord,
     canonical_edge,
-    count_connected_by_order,
     enumerate_by_edges,
     enumerate_by_order,
     extremal_search,
@@ -34,13 +33,11 @@ from .spectral import (
     ConvergenceError,
     SpectralResult,
     check_nosal,
-    eigen_identity_check,
     spectral_radius,
 )
 from .theta import (
     ThetaSpec,
     contains_theta,
-    is_theta_free,
     oracle_contains_theta,
     theta_graph,
     validate_witness,
@@ -50,6 +47,7 @@ from .verify import (
     certificate_holds,
     check_lemma_conclusions,
     decompose,
+    eigen_identity_check,
     extremal_table,
     extremal_vertex,
     inequality_one_check,
@@ -82,7 +80,6 @@ __all__ = [
     "complete_bipartite",
     "complete_minus_edge",
     "contains_theta",
-    "count_connected_by_order",
     "cycle",
     "decompose",
     "eigen_identity_check",
@@ -95,7 +92,6 @@ __all__ = [
     "from_graph6",
     "inequality_one_check",
     "is_book",
-    "is_theta_free",
     "oracle_contains_theta",
     "path",
     "spectral_radius",

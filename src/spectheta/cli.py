@@ -144,7 +144,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_search(args) -> int:
     rec = extremal_search(args.edges, args.spec, budget=args.limit)
     if args.json:
-        print(rec.to_json_str())
+        print(json.dumps(rec.to_json(), indent=2))
     else:
         print(f"m={rec.m} spec={rec.spec} candidates={rec.num_candidates}")
         print(f"best  lambda={rec.best_lambda:.9f} graph6={rec.best_graph6}")

@@ -86,7 +86,6 @@ on exactly n vertices once, after the edgeless one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .canon import automorphism_generators, canonical_form, canonical_label, canonical_order
@@ -365,11 +364,6 @@ def enumerate_by_order(n: int):
         yield Graph._from_rows(g.adj + (0,) * (n - g.n))
 
 
-def count_connected_by_order(n: int) -> int:
-    """Number of connected isomorphism classes on n vertices."""
-    return sum(1 for g in enumerate_by_order(n) if g.is_connected())
-
-
 def _lambda_square_bound(g: Graph) -> int:
     # The largest row sum of A^2, max_v sum_{u ~ v} d_u, which is at least
     # lambda^2: lambda^2 is the spectral radius of A^2, and that is at most
@@ -395,19 +389,16 @@ def _rank(a, b):
 class ExtremalRecord:
     """Argmax of the spectral radius over the theta-free classes with m edges.
 
-    best_graph is the canonical form of the argmax class.
+    best_graph6 is the graph6 of the canonical form of the argmax class, and
+    each runner-up is a (graph6, lambda) pair of the same kind.
     """
 
     m: int
     spec: ThetaSpec
-    best_graph: Graph
+    best_graph6: str
     best_lambda: float
     num_candidates: int
     runner_ups: tuple[tuple[str, float], ...]
-
-    @property
-    def best_graph6(self) -> str:
-        return to_graph6(self.best_graph)
 
     def to_json(self) -> dict:
         return {
@@ -420,9 +411,6 @@ class ExtremalRecord:
                 {"graph6": g6, "lambda": lam} for g6, lam in self.runner_ups
             ],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
 
 def extremal_search(m: int, spec: ThetaSpec, *,
@@ -485,13 +473,6 @@ def extremal_search(m: int, spec: ThetaSpec, *,
                 skip_below = (min(e[0] for e in top) - 2 * COMPARISON_TOL) ** 2
     if not top:
         raise RuntimeError(f"no {spec}-free class with {m} edges; this cannot happen for m >= 1")
-    best = top[0]
-    runner_ups = tuple((to_graph6(e[2]), e[0]) for e in top[1:])
-    return ExtremalRecord(
-        m=m,
-        spec=spec,
-        best_graph=best[2],
-        best_lambda=best[0],
-        num_candidates=count,
-        runner_ups=runner_ups,
-    )
+    (best_graph6, best_lambda), *runner_ups = [(to_graph6(h), lam) for lam, _, h in top]
+    return ExtremalRecord(m=m, spec=spec, best_graph6=best_graph6, best_lambda=best_lambda,
+                          num_candidates=count, runner_ups=tuple(runner_ups))

@@ -1,4 +1,5 @@
-"""Spectral radius, the Nosal check and the eigenvector identities.
+"""Spectral radius and Perron vector of a connected graph, and the Nosal
+check that lambda <= sqrt(m) on triangle-free graphs.
 
 One dense symmetric eigensolve (LAPACK through `numpy.linalg.eigh`) gives
 every eigenpair of the adjacency matrix at once; the largest eigenvalue is
@@ -8,6 +9,9 @@ spectral gap, so a long tree whose top two eigenvalues nearly coincide is
 solved as fast as any graph of its order.  The residual |Ax - lambda x| is
 measured on the returned pair, and a pair that misses the target raises
 ConvergenceError instead of being reported.
+
+The eigenvector identities at u* live in `verify`, with the rest of the
+structure around u*.
 """
 
 from __future__ import annotations
@@ -120,31 +124,3 @@ def check_nosal(g: Graph) -> dict:
                 report["equality_structure"] = parts
         report["satisfied"] = ok
     return report
-
-
-def eigen_identity_check(g: Graph, res: SpectralResult, ustar: int) -> tuple[float, float]:
-    """Residuals of the first- and second-order eigenvector identities at ustar.
-
-    Both identities decompose the neighborhood of ustar: the walk count of
-    length one equals the sum over neighbors, and the walk count of length
-    two splits over the neighborhood's internal degrees and the outside
-    vertices' degrees into the neighborhood.  They hold for any vertex of
-    any connected graph up to eigensolver error.
-    """
-    g._check_vertex(ustar)
-    lam = res.lam
-    x = res.perron
-    umask = g.adj[ustar]
-    first = abs(lam * float(x[ustar]) - sum(float(x[u]) for u in bit_indices(umask)))
-    rhs = umask.bit_count() * float(x[ustar])
-    for u in bit_indices(umask):
-        du = (g.adj[u] & umask).bit_count()
-        if du:
-            rhs += du * float(x[u])
-    wmask = ((1 << g.n) - 1) & ~umask & ~(1 << ustar)
-    for w in bit_indices(wmask):
-        dw = (g.adj[w] & umask).bit_count()
-        if dw:
-            rhs += dw * float(x[w])
-    second = abs(lam * lam * float(x[ustar]) - rhs)
-    return first, second

@@ -93,9 +93,11 @@ def validate_witness(g: Graph, spec: ThetaSpec, w: dict) -> bool:
     """Pure recheck of a witness against its host graph: hubs a != b and
     three paths from a to b of lengths r, p and q, along edges of g, whose
     internal vertices are distinct and avoid the hubs and the other paths.
+    A witness that names anything but a vertex of g is rejected, not raised.
     """
     (a, b), paths = w["hubs"], w["paths"]
-    if a == b or len(paths) != 3:
+    named = [a, b, *(v for seq in paths for v in seq)]
+    if a == b or len(paths) != 3 or not all(isinstance(v, int) and 0 <= v < g.n for v in named):
         return False
     used = {a, b}
     for seq, length in zip(paths, (spec.r, spec.p, spec.q)):
@@ -167,10 +169,6 @@ def contains_theta(g: Graph, spec: ThetaSpec) -> dict | None:
                     raise RuntimeError(f"internal error: invalid witness {w} for {spec}")
                 return w
     return None
-
-
-def is_theta_free(g: Graph, spec: ThetaSpec) -> bool:
-    return contains_theta(g, spec) is None
 
 
 def oracle_contains_theta(g: Graph, spec: ThetaSpec) -> bool:

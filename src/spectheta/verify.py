@@ -1,8 +1,11 @@
 """The one module that knows the theorem: among (2,2,3)-theta-free graphs
 with m edges, lambda <= (1 + sqrt(4m - 3)) / 2, with equality only for the
 book.  Here are its bound, the vertex u* that its lemmas are stated at, the
-decomposition and structure checks around u*, the certificate of one graph
-with its verdict, and the table of searched maxima against the bound.
+structure around u* (the ledger over U = N(u*) and W, the vertices outside
+its closed ball, the components of U, the lemma checklist, inequality (1)
+and the eigenvector identities), the certificate of one graph with its
+verdict, and the table of searched maxima against the bound.  Only this
+module builds U and W, in `_ball`.
 
 The results are plain values, as the certificate prints them: the
 decomposition is the certificate's `{"ustar", "ledger", "components"}`, a
@@ -115,16 +118,14 @@ def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> dict:
         ustar = extremal_vertex(g, res)
     g._check_vertex(ustar)
     umask, wmask = _ball(g, ustar)
-    u_list = list(bit_indices(umask))
-    w_list = list(bit_indices(wmask))
-    uplus = [u for u in u_list if g.adj[u] & umask]
-    ledger = {
-        "sizeU": len(u_list),
-        "eUplus": g.edge_count_between(uplus, uplus),
-        "eUW": g.edge_count_between(u_list, w_list),
-        "eW": g.edge_count_between(w_list, w_list),
-        "m": g.m,
-    }
+
+    def ends(xmask, ymask):
+        # Edge ends in xmask whose other end is in ymask.
+        return sum((g.adj[v] & ymask).bit_count() for v in bit_indices(xmask))
+
+    ledger = {"sizeU": umask.bit_count(), "eUplus": ends(umask, umask) // 2,
+              "eUW": ends(umask, wmask), "eW": ends(wmask, wmask) // 2, "m": g.m}
+    uplus = [u for u in bit_indices(umask) if g.adj[u] & umask]
     # Every U-neighbour of a U+ vertex is itself in U+, so the components of
     # the subgraph on U+ are the nontrivial components of the subgraph on U.
     components = []
@@ -132,6 +133,26 @@ def decompose(g: Graph, res: SpectralResult, ustar: int | None = None) -> dict:
         verts = [uplus[i] for i in comp]
         components.append({"vertices": verts, "class": classify_component(g.induced(verts))})
     return {"ustar": ustar, "ledger": ledger, "components": components}
+
+
+def eigen_identity_check(g: Graph, res: SpectralResult, ustar: int) -> tuple[float, float]:
+    """Residuals of the first- and second-order eigenvector identities at ustar.
+
+    With U = N(ustar) and W the vertices outside its closed ball, lambda
+    x_ustar = sum_U x_u, and lambda^2 x_ustar = |U| x_ustar + sum_U d_U(u)
+    x_u + sum_W d_U(w) x_w, where d_U counts neighbours in U: the walks of
+    length one and two from ustar, split by where they end.  Both hold at
+    any vertex of any connected graph up to eigensolver error.
+    """
+    g._check_vertex(ustar)
+    lam, x = res.lam, res.perron
+    xs = float(x[ustar])
+    umask, wmask = _ball(g, ustar)
+    first = abs(lam * xs - sum(float(x[u]) for u in bit_indices(umask)))
+    rhs = umask.bit_count() * xs
+    for v in bit_indices(umask | wmask):
+        rhs += (g.adj[v] & umask).bit_count() * float(x[v])
+    return first, abs(lam * lam * xs - rhs)
 
 
 def has_long_cycle(h: Graph) -> bool:
@@ -229,9 +250,14 @@ def _lemma_checklist(g: Graph, report: dict) -> list[dict]:
 def inequality_one_check(g: Graph, report: dict, res: SpectralResult) -> dict:
     """Evaluate the weighted edge-budget inequality around the extremal vertex.
 
-    Applicable when lambda^2 - lambda >= m - 1; the true maximizer
-    satisfies lhs >= rhs, so slack = lhs - rhs is nonnegative there.  Both
-    sides are reported for any input.
+    Applicable when lambda^2 - lambda >= m - 1, that is when lambda is at
+    or above the bound; the true maximizer satisfies lhs >= rhs there.
+    Both sides are reported for any input.  The inequality is an identity
+    in disguise: with x scaled so that x_u* = 1, lhs = lambda^2 - |U| -
+    sum_U+ x_u by the two eigenvector identities, and rhs = m - |U| - 1 +
+    sum_U0 x_u by the ledger, so slack = lhs - rhs = lambda^2 - lambda -
+    (m - 1) for any connected graph and any u*, up to rounding.  An
+    applicable slack is never negative beyond rounding.
     """
     lam = res.lam
     x = res.perron

@@ -21,13 +21,12 @@ from spectheta import (
     check_lemma_conclusions,
     check_nosal,
     contains_theta,
-    count_connected_by_order,
     decompose,
     eigen_identity_check,
     enumerate_by_edges,
     enumerate_by_order,
     extremal_search,
-    is_theta_free,
+    from_graph6,
     oracle_contains_theta,
     spectral_radius,
     to_graph6,
@@ -86,7 +85,7 @@ def test_c2_detector_oracle_equivalence():
 def test_c3_theta_freeness_of_extremal_family():
     start = time.time()
     for k in range(1, 51):
-        assert is_theta_free(book(k), SPEC_223), f"book({k})"
+        assert contains_theta(book(k), SPEC_223) is None, f"book({k})"
     base = book(4)
     pages = range(2, 6)
     cases = 0
@@ -108,13 +107,13 @@ def test_c4_enumerator_correctness():
     start = time.time()
     published = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     for n in range(1, 8):
-        assert count_connected_by_order(n) == published[n], f"n={n}"
+        assert sum(g.is_connected() for g in enumerate_by_order(n)) == published[n], f"n={n}"
     # independent labeled brute force for small orders
     from helpers import graphs_on
 
     for n in range(1, 6):
         oracle = {brute_force_class_key(g) for g in graphs_on(n) if g.is_connected()}
-        assert count_connected_by_order(n) == len(oracle)
+        assert sum(g.is_connected() for g in enumerate_by_order(n)) == len(oracle)
     # Edge enumeration against the all-labeled-graphs oracle, class for
     # class: every labeled graph with m edges and no isolated vertices is
     # generated and bucketed by canonical label.  The labeler itself is
@@ -207,7 +206,7 @@ def test_c8_lemma_checklist_on_maximizers():
     for row in archived:
         m = row["m"]
         rec = extremal_search(m, SPEC_223)
-        g = rec.best_graph
+        g = from_graph6(rec.best_graph6)
         res = spectral_radius(g)
         checklist = check_lemma_conclusions(g, decompose(g, res))
         assert rec.best_graph6 == row["best_graph6"], f"m={m}"

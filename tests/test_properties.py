@@ -165,6 +165,24 @@ def test_theta_witness_valid_and_matches_oracle(g, spec):
     assert (witness is not None) == oracle_contains_theta(g, spec)
 
 
+_small_ids = st.integers(min_value=-3, max_value=10)
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=8),
+       st.sampled_from([ThetaSpec(2, 2, 3), ThetaSpec(1, 2, 2), ThetaSpec(2, 2, 2)]),
+       st.lists(_small_ids, min_size=2, max_size=2),
+       st.lists(st.lists(_small_ids, max_size=3), min_size=3, max_size=3),
+       st.booleans())
+@example(book(4).with_edge(2, 3), ThetaSpec(2, 2, 3), [0, 9], [[4], [5], [2, 3]], True)
+def test_validate_witness_answers_any_small_int_witness(g, spec, hubs, mids, joined):
+    # Vertices past the host or negative make a witness invalid, not an
+    # error.  Paths run hub to hub when joined, so most reach the edge test.
+    a, b = hubs
+    paths = [[a, *mid, b] for mid in mids] if joined else mids
+    assert isinstance(validate_witness(g, spec, {"hubs": hubs, "paths": paths}), bool)
+
+
 @settings(deadline=None)
 @given(random_graphs(min_n=1, max_n=8), st.data(),
        st.sampled_from([ThetaSpec(2, 2, 3), ThetaSpec(2, 2, 2), ThetaSpec(1, 2, 2),

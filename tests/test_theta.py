@@ -15,7 +15,6 @@ from spectheta import (
     contains_theta,
     cycle,
     enumerate_by_order,
-    is_theta_free,
     oracle_contains_theta,
     path,
     star,
@@ -53,14 +52,14 @@ def test_k23_is_theta_222():
 
 def test_negative_cases():
     assert contains_theta(cycle(5), ThetaSpec(2, 2, 3)) is None
-    assert is_theta_free(star(10), ThetaSpec(1, 2, 2))
-    assert not is_theta_free(complete(6), ThetaSpec(2, 2, 3))
+    assert contains_theta(star(10), ThetaSpec(1, 2, 2)) is None
+    assert contains_theta(complete(6), ThetaSpec(2, 2, 3)) is not None
 
 
 def test_books_are_223_free():
     spec = ThetaSpec(2, 2, 3)
     for k in range(1, 13):
-        assert is_theta_free(book(k), spec)
+        assert contains_theta(book(k), spec) is None
 
 
 def test_book_plus_page_edge_contains_223():
@@ -77,7 +76,7 @@ def test_book_plus_page_edge_contains_223():
 def test_bipartite_hosts_are_223_free():
     spec = ThetaSpec(2, 2, 3)
     for g in (complete_bipartite(2, 4), complete_bipartite(3, 3), cycle(6), path(7)):
-        assert is_theta_free(g, spec)
+        assert contains_theta(g, spec) is None
         if g.n <= 10:
             assert not oracle_contains_theta(g, spec)
 
@@ -103,6 +102,9 @@ def test_validate_witness_rejects_broken_witnesses():
         {"hubs": [0, 1], "paths": [[0, 2, 1], p1, [0, 4, 3, 1]]},  # 4-3 is not an edge
         {"hubs": [0, 1], "paths": [p0, p0, p2]},  # two paths share vertex 4
         {"hubs": [0, 1], "paths": [p0, p1, [0, 1, 3, 1]]},  # hub 1 as an internal vertex
+        {"hubs": [0, 9], "paths": [[0, 4, 9], [0, 5, 9], [0, 2, 3, 9]]},  # 9 is past the host
+        {"hubs": [0, -1], "paths": [[0, 4, -1], [0, 5, -1], [0, 2, 3, -1]]},  # a negative id
+        {"hubs": [0, 1.0], "paths": [[0, 4, 1.0], [0, 5, 1.0], [0, 2, 3, 1.0]]},  # not an int
     ]
     for b in broken:
         assert not validate_witness(g, spec, b), b

@@ -214,6 +214,24 @@ def test_inequality_consistent_with_raw_recomputation():
         assert out["rhs"] == pytest.approx(rhs, abs=1e-10)
 
 
+def test_inequality_one_slack_is_lambda_identity():
+    # By the two eigenvector identities and the ledger, slack = lambda^2 -
+    # lambda - (m - 1) for any connected graph and any u*, so inequality (1)
+    # is applicable exactly when lambda reaches the bound, and an applicable
+    # slack is never negative beyond rounding.  Over the 1,017 connected
+    # (2,2,3)-free classes with 1..9 edges.
+    spec = ThetaSpec(2, 2, 3)
+    graphs = [g for m in range(1, 10) for g in enumerate_by_edges(m, True, free=spec)]
+    assert len(graphs) == 1017
+    for g in graphs:
+        cert = verify_theorem_instance(g)
+        lam, ineq = cert["lambda"], cert["inequality1"]
+        assert abs(ineq["slack"] - (lam * lam - lam - (g.m - 1))) <= 1e-12, to_graph6(g)
+        assert ineq["applicable"] == (lam >= cert["bound"] - 1e-9), to_graph6(g)
+        if ineq["applicable"]:
+            assert ineq["slack"] >= -1e-9, to_graph6(g)
+
+
 def test_is_book():
     assert is_book(book(1)) and is_book(book(2)) and is_book(book(10))
     assert is_book(complete(3))
