@@ -4,7 +4,7 @@ and the counting structure checks; and on random command lines, exit codes."""
 import contextlib
 import io
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -39,6 +39,7 @@ from spectheta.canon import _canonical_pieces, _component_canonical  # noqa: E40
 from spectheta.cli import main  # noqa: E402
 from spectheta.graphs import FAMILIES  # noqa: E402
 from spectheta.spectral import triangle_free  # noqa: E402
+from spectheta.theta import _paths  # noqa: E402
 from spectheta.verify import has_long_cycle  # noqa: E402
 
 
@@ -163,6 +164,20 @@ def test_theta_witness_valid_and_matches_oracle(g, spec):
     if witness is not None:
         assert validate_witness(g, spec, witness)
     assert (witness is not None) == oracle_contains_theta(g, spec)
+
+
+@settings(deadline=None)
+@given(random_graphs(min_n=2, max_n=8), st.data(), st.integers(min_value=1, max_value=4))
+def test_paths_match_brute_force_in_order(g, data, length):
+    # Every ordered choice of distinct allowed internal vertices, in the
+    # lexicographic order itertools.permutations gives on a sorted list,
+    # kept when consecutive vertices are adjacent.
+    a, b = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    banned = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    allowed = [v for v in range(g.n) if v not in (a, b) and not (banned >> v) & 1]
+    want = [mid for mid in permutations(allowed, length - 1)
+            if all(g.has_edge(u, v) for u, v in zip((a, *mid), (*mid, b)))]
+    assert list(_paths(g, a, b, length, banned)) == want
 
 
 _small_ids = st.integers(min_value=-3, max_value=10)

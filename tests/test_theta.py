@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from helpers import all_augmentations, random_connected_graph, to_networkx
+from helpers import (
+    all_augmentations,
+    random_connected_graph,
+    random_permutation,
+    relabeled,
+    to_networkx,
+)
 
 from spectheta import (
     Graph,
@@ -105,6 +111,11 @@ def test_validate_witness_rejects_broken_witnesses():
         {"hubs": [0, 9], "paths": [[0, 4, 9], [0, 5, 9], [0, 2, 3, 9]]},  # 9 is past the host
         {"hubs": [0, -1], "paths": [[0, 4, -1], [0, 5, -1], [0, 2, 3, -1]]},  # a negative id
         {"hubs": [0, 1.0], "paths": [[0, 4, 1.0], [0, 5, 1.0], [0, 2, 3, 1.0]]},  # not an int
+        {"hubs": [0, 1, 2], "paths": [p0, p1, p2]},  # three hubs
+        {"hubs": [0, 1], "paths": [p0, p1, 7]},  # a path given as an int
+        {"hubs": [0, 1]},  # no paths
+        [[0, 1], [p0, p1, p2]],  # not a dict
+        None,
     ]
     for b in broken:
         assert not validate_witness(g, spec, b), b
@@ -245,3 +256,50 @@ def test_first_witnesses_are_pinned():
             assert w is None or json.loads(json.dumps(w)) == w
     assert sum(line != "-\n" for line in lines) == 2_053
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == FIRST_WITNESS_DIGEST
+
+
+def _c4free_with_planted_theta(rng, n):
+    # A random spanning tree, then random edges that close no 4-cycle, then
+    # a (2,2,3) theta on six random vertices.
+    nbrs = [set() for _ in range(n)]
+    for v in range(1, n):
+        u = rng.randrange(v)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for _ in range(3 * n):
+        u, v = rng.sample(range(n), 2)
+        if v in nbrs[u] or any(nbrs[x] & (nbrs[v] - {u, x}) for x in nbrs[u]):
+            continue
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    a, b, x, y, z1, z2 = rng.sample(range(n), 6)
+    theta = [(a, x), (x, b), (a, y), (y, b), (a, z1), (z1, z2), (z2, b)]
+    edges = {(u, v) for u in range(n) for v in nbrs[u] if u < v}
+    return Graph(n, sorted(edges | {(min(e), max(e)) for e in theta}))
+
+
+# The same kind of digest over hosts past FIRST_WITNESS_DIGEST's n <= 12:
+# books and K2,t with up to 30 pages, each also with one chord between two
+# pages, a third of them relabelled, and twelve C4-free hosts on 36..44
+# vertices with a planted theta.  365 of the 1,020 lines are witnesses.
+LARGE_HOST_WITNESS_DIGEST = "2c30d88d931b610f85105c01240b2061bacdc5310514121e427efeab0bd34bed"
+
+
+def test_first_witnesses_on_large_hosts_are_pinned():
+    rng = random.Random(31)
+    hosts = []
+    for k in range(1, 31):
+        for g in (book(k), complete_bipartite(2, k)):
+            hosts.append(g)
+            if k >= 2:
+                x, y = rng.sample(range(2, k + 2), 2)
+                hosts.append(g.with_edge(x, y))
+    hosts += [relabeled(g, random_permutation(rng, g.n)) for g in hosts[::3]]
+    hosts += [_c4free_with_planted_theta(rng, rng.randint(36, 44)) for _ in range(12)]
+    lines = []
+    for r, p, q in ((2, 2, 3), (2, 2, 2), (1, 2, 3), (3, 3, 3), (2, 3, 4), (2, 2, 4)):
+        for g in hosts:
+            w = contains_theta(g, ThetaSpec(r, p, q))
+            lines.append("-\n" if w is None else json.dumps(w) + "\n")
+    assert sum(line != "-\n" for line in lines) == 365
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == LARGE_HOST_WITNESS_DIGEST
