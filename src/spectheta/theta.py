@@ -17,15 +17,27 @@ length-1 path is one bit test, and the length-2 paths are the bits of
 adj[a] & adj[b] & free.  A longer path is a depth-first search down to
 its second-to-last internal vertex w, which closes a path through each
 bit of adj[w] & adj[b] & free; the last two levels loop over bits and
-open no generator per candidate.  On the benchmark's `certify` corpus,
-whose books and K2,t are (2,2,3)-free, this took a repetition from
-3.8-4.0 s to 1.5-1.6 s on a 2-core x86-64 VM (seeds 1-3).
+open no generator per candidate.
+
+The first witness found is the lexicographically least (first, second,
+third) triple of the first hub pair that has one.  Swapping two paths of
+equal length turns a witness into another, and two disjoint paths are
+ordered by their first internal vertex alone, so the least witness has
+first[0] < second[0] when r == p and second[0] < third[0] when p == q.
+`_theta_between` passes that bound to `_paths` as `after` and so tries
+each set of equal-length paths once: on a (2,2,3)-free book or K2,k, one
+hub pair with k common neighbours, the `_paths` calls fall from 1 + k**2
+to 1 + k + k(k-1)/2, and (2,2,2) tries up to 6x fewer triples.  On the
+benchmark's `certify` corpus, whose books and K2,t are (2,2,3)-free,
+this took a repetition from 1.38-1.48 s to 0.80-0.86 s on a 2-core
+x86-64 VM (seeds 1-3), with every witness unchanged.
 
 The length-2 paths between two hubs are interchangeable, so the search
 could count them instead of enumerating them.  That would take a
-`certify` repetition below 0.3 s, and the benchmark's speed probe cannot
-yet take a sample inside repetitions that short.  Counting waits for
-that fix, and then changes `_theta_between` alone.
+`certify` repetition from about 0.8 s to well under 0.3 s, and the
+benchmark's speed probe cannot yet take a sample inside repetitions that
+short (ROADMAP item 1).  Counting waits for that fix, and then changes
+`_theta_between` alone.
 """
 
 from __future__ import annotations
@@ -123,10 +135,11 @@ def validate_witness(g: Graph, spec: ThetaSpec, w: dict) -> bool:
     return True
 
 
-def _paths(g, a, b, length, banned_mask):
+def _paths(g, a, b, length, banned_mask, after=-1):
     # All simple a-b paths of the exact edge length whose internal vertices
-    # avoid banned_mask; yields internal-vertex tuples in lexicographic order.
-    # The last two levels loop over bitmasks (see the module docstring).
+    # avoid banned_mask and whose first internal vertex is > after; yields
+    # internal-vertex tuples in lexicographic order.  The last two levels
+    # loop over bitmasks (see the module docstring).
     adj = g.adj
     if length == 1:
         if (adj[a] >> b) & 1:
@@ -134,41 +147,48 @@ def _paths(g, a, b, length, banned_mask):
         return
     free = ~(banned_mask | (1 << a) | (1 << b))
     ends = adj[b] & free  # candidates for the last internal vertex
+    firsts = adj[a] & free & (-1 << (after + 1))  # candidates for the first
     if length == 2:
-        for x in bit_indices(adj[a] & ends):
+        for x in bit_indices(firsts & ends):
             yield (x,)
         return
     stack = []
 
-    def extend(cur, free):
+    def extend(nexts, free):
+        # nexts: the candidates for the next internal vertex, within free.
         if len(stack) < length - 3:
-            for w in bit_indices(adj[cur] & free):
+            for w in bit_indices(nexts):
                 stack.append(w)
-                yield from extend(w, free & ~(1 << w))
+                rest = free & ~(1 << w)
+                yield from extend(adj[w] & rest, rest)
                 stack.pop()
             return
-        # cur is the third-to-last vertex of the path (a itself at length 3).
-        # adj[w] has no bit w, so w cannot come back as its own successor.
-        for w in bit_indices(adj[cur] & free):
+        # w is the second-to-last internal vertex.  adj[w] has no bit w, so
+        # w cannot come back as its own successor.
+        for w in bit_indices(nexts):
             last = adj[w] & ends & free
             while last:
                 tail = last & -last
                 last ^= tail
                 yield (*stack, w, tail.bit_length() - 1)
 
-    yield from extend(a, free)
+    yield from extend(firsts, free)
 
 
 def _theta_between(g, spec, a, b):
+    # Swapping two paths of equal length turns a witness into another, so
+    # the least witness has them in ascending order of first internal
+    # vertex, and only that order is tried (see the module docstring).
+    same_rp, same_pq = spec.r == spec.p, spec.p == spec.q
     for first in _paths(g, a, b, spec.r, 0):
         m1 = 0
         for v in first:
             m1 |= 1 << v
-        for second in _paths(g, a, b, spec.p, m1):
+        for second in _paths(g, a, b, spec.p, m1, first[0] if same_rp else -1):
             m2 = m1
             for v in second:
                 m2 |= 1 << v
-            for third in _paths(g, a, b, spec.q, m2):
+            for third in _paths(g, a, b, spec.q, m2, second[0] if same_pq else -1):
                 return {"hubs": [a, b],
                         "paths": [[a, *first, b], [a, *second, b], [a, *third, b]]}
     return None
@@ -179,9 +199,11 @@ def contains_theta(g: Graph, spec: ThetaSpec) -> dict | None:
     dict, or None.
 
     Hub pairs are scanned in increasing lexicographic order and paths by
-    ascending neighbor id, so repeated runs return the same witness.  The
-    hubs are the vertices of degree >= 3; a graph with fewer vertices or
-    edges than the theta has none to test.
+    ascending neighbor id, so repeated runs return the same witness: the
+    lexicographically least one, hub pair first, then the r-, p- and
+    q-paths by internal vertex ids.  The hubs are the vertices of degree
+    >= 3; a graph with fewer vertices or edges than the theta has none to
+    test.
     """
     if g.n < spec.order or g.m < spec.size:
         return None

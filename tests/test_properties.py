@@ -171,13 +171,45 @@ def test_theta_witness_valid_and_matches_oracle(g, spec):
 def test_paths_match_brute_force_in_order(g, data, length):
     # Every ordered choice of distinct allowed internal vertices, in the
     # lexicographic order itertools.permutations gives on a sorted list,
-    # kept when consecutive vertices are adjacent.
+    # kept when consecutive vertices are adjacent and the first internal
+    # vertex, if any, is past `after`.
     a, b = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
     banned = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    after = data.draw(st.integers(min_value=-1, max_value=g.n))
     allowed = [v for v in range(g.n) if v not in (a, b) and not (banned >> v) & 1]
     want = [mid for mid in permutations(allowed, length - 1)
-            if all(g.has_edge(u, v) for u, v in zip((a, *mid), (*mid, b)))]
-    assert list(_paths(g, a, b, length, banned)) == want
+            if all(g.has_edge(u, v) for u, v in zip((a, *mid), (*mid, b)))
+            and (not mid or mid[0] > after)]
+    assert list(_paths(g, a, b, length, banned, after)) == want
+
+
+def _least_witness(g, spec):
+    # The lexicographically least witness, from every path of every length
+    # between every hub pair: hub pair first, then the r-, p- and q-paths.
+    hubs = [v for v in range(g.n) if g.degree(v) >= 3]
+    for a, b in combinations(hubs, 2):
+        others = [v for v in range(g.n) if v not in (a, b)]
+        paths = {length: [mid for mid in permutations(others, length - 1)
+                          if all(g.has_edge(u, v) for u, v in zip((a, *mid), (*mid, b)))]
+                 for length in {spec.r, spec.p, spec.q}}
+        triples = [(x, y, z) for x in paths[spec.r] for y in paths[spec.p]
+                   for z in paths[spec.q] if len({*x, *y, *z}) == len(x) + len(y) + len(z)]
+        if triples:
+            x, y, z = min(triples)
+            return {"hubs": [a, b], "paths": [[a, *x, b], [a, *y, b], [a, *z, b]]}
+    return None
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=8),
+       st.sampled_from([ThetaSpec(2, 2, 2), ThetaSpec(2, 2, 3), ThetaSpec(2, 3, 3),
+                        ThetaSpec(3, 3, 3), ThetaSpec(1, 2, 2), ThetaSpec(1, 3, 3)]))
+@example(complete(8), ThetaSpec(3, 3, 3))
+@example(book(4).with_edge(2, 3), ThetaSpec(2, 2, 3))  # the q-path starts below the p-path
+@example(Graph(7, [(0, 5), (5, 1), (0, 2), (2, 3), (3, 1), (0, 4), (4, 6), (6, 1)]),
+         ThetaSpec(2, 3, 3))  # the p-path starts below the r-path
+def test_theta_witness_is_the_least(g, spec):
+    assert contains_theta(g, spec) == _least_witness(g, spec)
 
 
 _small_ids = st.integers(min_value=-3, max_value=10)

@@ -27,6 +27,7 @@ from spectheta import (
     theta_graph,
     validate_witness,
 )
+from spectheta import theta
 
 
 def test_spec_normalizes_and_validates():
@@ -119,6 +120,17 @@ def test_validate_witness_rejects_broken_witnesses():
     ]
     for b in broken:
         assert not validate_witness(g, spec, b), b
+
+
+def test_paths_after_keeps_first_internal_vertices_past_it():
+    g = complete(6)
+    paths = theta._paths
+    assert list(paths(g, 0, 1, 1, 0, 3)) == [()]
+    assert list(paths(g, 0, 1, 2, 0, 3)) == [(4,), (5,)]
+    assert list(paths(g, 0, 1, 3, 1 << 2, 3)) == [(4, 3), (4, 5), (5, 3), (5, 4)]
+    assert list(paths(g, 0, 1, 4, 0, 4)) == [(5, 2, 3), (5, 2, 4), (5, 3, 2), (5, 3, 4),
+                                             (5, 4, 2), (5, 4, 3)]
+    assert list(paths(g, 0, 1, 2, 0, 5)) == []
 
 
 def test_witnesses_are_deterministic():
@@ -244,18 +256,65 @@ def test_new_vertex_children_of_free_parents_are_free():
 FIRST_WITNESS_DIGEST = "9b04aee9db8ce43b5b5affb1161b9f68f62aed564b6169b2fc73c4edb69c6c9c"
 
 
-def test_first_witnesses_are_pinned():
+FIRST_WITNESS_SPECS = ((2, 2, 3), (2, 2, 2), (1, 2, 2), (1, 2, 3), (3, 3, 3), (2, 3, 3))
+
+
+def _first_witness_corpus():
     rng = random.Random(29)
     corpus = [random_connected_graph(rng, max_n=12) for _ in range(600)]
-    corpus += [book(k) for k in range(1, 13)] + [complete_bipartite(2, t) for t in range(2, 13)]
+    return corpus + [book(k) for k in range(1, 13)] + [complete_bipartite(2, t) for t in range(2, 13)]
+
+
+def test_first_witnesses_are_pinned():
+    corpus = _first_witness_corpus()
     lines = []
-    for r, p, q in ((2, 2, 3), (2, 2, 2), (1, 2, 2), (1, 2, 3), (3, 3, 3), (2, 3, 3)):
+    for r, p, q in FIRST_WITNESS_SPECS:
         for g in corpus:
             w = contains_theta(g, ThetaSpec(r, p, q))
             lines.append("-\n" if w is None else json.dumps(w) + "\n")
             assert w is None or json.loads(json.dumps(w)) == w
     assert sum(line != "-\n" for line in lines) == 2_053
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == FIRST_WITNESS_DIGEST
+
+
+def test_equal_length_paths_ascend_by_first_internal_vertex():
+    # Swapping two paths of equal length gives another witness, so the
+    # least one lists them in ascending order of first internal vertex.
+    corpus = _first_witness_corpus()
+    ordered = 0
+    for r, p, q in FIRST_WITNESS_SPECS:
+        for g in corpus:
+            w = contains_theta(g, ThetaSpec(r, p, q))
+            if w is None:
+                continue
+            first, second, third = w["paths"]
+            if r == p:
+                assert first[1] < second[1], (g.edges(), w)
+                ordered += 1
+            if p == q:
+                assert second[1] < third[1], (g.edges(), w)
+                ordered += 1
+    assert ordered == 2_289
+
+
+@pytest.mark.parametrize("k", [5, 20, 60])
+@pytest.mark.parametrize("family", [book, lambda k: complete_bipartite(2, k)],
+                         ids=["book", "k2t"])
+def test_223_search_tries_each_pair_of_length_2_paths_once(monkeypatch, family, k):
+    # One hub pair with k common neighbours: one call for the first path,
+    # one per first path for the second, and one per unordered pair for the
+    # third.  Trying both orders of each pair would take 1 + k**2 calls.
+    calls = 0
+    paths = theta._paths
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return paths(*args)
+
+    monkeypatch.setattr(theta, "_paths", counted)
+    assert contains_theta(family(k), ThetaSpec(2, 2, 3)) is None
+    assert calls == 1 + k + k * (k - 1) // 2
 
 
 def _c4free_with_planted_theta(rng, n):
