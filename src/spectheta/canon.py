@@ -41,13 +41,16 @@ kept.
 two consecutive components with equal certificates, and rebuilds the
 twin swaps from `twin_classes` instead of storing them.
 
-Two bounded caches keep the generation tree from labelling twice what it
+Three bounded caches keep the generation tree from labelling twice what it
 has labelled once.  `_canonical_pieces` is keyed on the whole `Graph` (its
 vertex count and adjacency rows).  `_component_canonical` is keyed on one
 component's local adjacency rows, so a child that keeps a component of its
-parent row for row reuses that component's search.  Both outputs,
-automorphisms included, are pure functions of their keys, so neither cache
-can change a certificate, an order or a generator.
+parent row for row reuses that component's search.  `_root_cells`, the
+refinement of the one-cell partition where every search starts, is keyed
+on the same rows: the generation tree reads it to settle many children
+without a label, and a child it leaves open refines only once.  Every
+output, automorphisms included, is a pure function of its key, so no
+cache can change a certificate, an order or a generator.
 """
 
 from __future__ import annotations
@@ -105,6 +108,18 @@ def twin_classes(adj, vertices) -> list[list[int]]:
 
 
 @lru_cache(maxsize=65536)
+def _root_cells(adj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The root partition: the equitable refinement of one cell of all vertices.
+
+    Every leaf of `_component_canonical`'s search refines it in place, so
+    the canonical order lists its cells in order, and every automorphism
+    maps each of its cells onto itself.
+    """
+    k = len(adj)
+    return tuple(map(tuple, _refine(adj, [list(range(k))], [(1 << k) - 1])))
+
+
+@lru_cache(maxsize=65536)
 def _component_canonical(adj: tuple[int, ...]):
     """Least adjacency bit string over refinement-compatible orderings.
 
@@ -157,7 +172,7 @@ def _component_canonical(adj: tuple[int, ...]):
                 return depth
         return None
 
-    descend(_refine(adj, [list(range(k))], [(1 << k) - 1]), [])
+    descend(list(_root_cells(adj)), [])
     return best_bits, tuple(best_order), tuple(auts)
 
 

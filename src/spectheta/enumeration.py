@@ -39,14 +39,32 @@ a degree and a new vertex has degree one, so `_augmentations` reads the
 pairs of the child from P's degrees.  An e without the least pair is not
 in the orbit of the canonical edge, which has it, and is never built.  An
 e that is the only edge with the least pair is the canonical edge, and
-its child is accepted with no label.  Only when another edge ties the
-pair is the child labelled, by `canonical_edge`, and the orbit of e under
-the child's generators decides.  No sibling is labelled for a duplicate
-check, and no deletion is labelled.  Component counts of the children
-come from the parent's components, so a child that the component prune
-drops is never built.  Every walk down to m edges keeps a child only if
-the edges still to add can join its components, so every node with m
-edges is connected.
+its child is accepted with no label.  A candidate often fails the pair
+test at an edge of P with P's least pair L: such an edge keeps L in the
+child unless an end of e is one of its ends.  So a candidate whose pair
+is above L is dropped, before the pair test, unless its ends touch every
+edge of P with pair L, which one bitmask per vertex tells.  A candidate
+between two vertices that have edges always has a pair above L; an
+edgeless P has no L and drops nothing here.
+
+When another edge ties the pair, the root partition R of a connected
+child C often decides: the equitable refinement of the one-cell
+partition, from which `canon` starts every search (`canon._root_cells`).
+Every leaf of that search refines R in place, so the canonical order
+lists the cells of R in order, and of two edges, the one whose later end
+lies in an earlier cell takes the earlier slot.  Give each edge with the least pair
+the value J, the higher index of its ends' cells: the canonical edge has
+the least J.  Every automorphism of C maps each cell of R onto itself, so
+J is the same across an orbit.  So C is rejected when J(e) is above the
+least J, and accepted when e is the only edge with the least pair and
+the least J.  Otherwise, and for every disconnected child, whose
+canonical order sorts its components instead, the child is labelled by
+`canonical_edge`, and the orbit of e under the child's generators
+decides.  No sibling is labelled for a duplicate check, and no deletion
+is labelled.  Component counts of the children come from the parent's
+components, so a child that the component prune drops is never built.
+Every walk down to m edges keeps a child only if the edges still to add
+can join its components, so every node with m edges is connected.
 
 With a theta to avoid, a subtree is pruned at its first node that
 contains it, which loses no free class because containment is kept by
@@ -88,9 +106,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import automorphism_generators, canonical_form, canonical_label, canonical_order
+from .canon import (_root_cells, automorphism_generators, canonical_form, canonical_label,
+                    canonical_order)
 from .graph6 import to_graph6
-from .graphs import MAX_N, Graph, bit_indices, complete
+from .graphs import MAX_N, Graph, _is_count, complete
 from .spectral import COMPARISON_TOL, spectral_radius
 from .theta import ThetaSpec, contains_theta
 
@@ -149,15 +168,38 @@ def _orbit(a: int, b: int, gens) -> set:
     return seen
 
 
+def _root_verdict(g: Graph, a: int, b: int):
+    # Whether the connected child g, whose added edge (a, b) carries the least
+    # degree pair, is accepted, or None if its root partition cannot tell.
+    # The value J of an edge is the higher index of its ends' root cells.
+    cell = [0] * g.n
+    for i, members in enumerate(_root_cells(g.adj)):
+        for v in members:
+            cell[v] = i
+    deg = [row.bit_count() for row in g.adj]
+    pair = (deg[a], deg[b]) if deg[a] <= deg[b] else (deg[b], deg[a])
+    least = ties = None
+    for u, v in g.edges():
+        if (deg[u], deg[v]) == pair or (deg[v], deg[u]) == pair:
+            j = max(cell[u], cell[v])
+            if least is None or j < least:
+                least, ties = j, 1
+            elif j == least:
+                ties += 1
+    if max(cell[a], cell[b]) > least:
+        return False
+    return True if ties == 1 else None
+
+
 def _augmentations(g: Graph, max_components: int, max_order: int):
     """One augmentation of g per Aut(g)-orbit worth building.
 
-    Yields (a, b, sole): the added edge (a, b), with b the largest vertex
-    of the child, and whether the added edge is the only edge of the child
-    with its degree pair.  An orbit is kept only if the child has at most
-    max_components components and max_order vertices and the added edge
-    carries the least sorted degree pair of the child; all three are the
-    same across an orbit.  Of each kept orbit, only the member first in
+    Yields (a, b, sole, components): the added edge (a, b), with b the
+    largest vertex of the child, whether the added edge is the only edge of
+    the child with its degree pair, and the child's component count.  An
+    orbit is kept only if the child has at most max_components components
+    and max_order vertices and the added edge carries the least sorted
+    degree pair of the child; all three are the same across an orbit.  Of each kept orbit, only the member first in
     the full augmentation loop is yielded (non-edges by (u, v), pendants
     by u, then the fresh disjoint edge), in that order.
 
@@ -170,7 +212,8 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
     Only a and b gain one degree, and a new vertex has degree one, so an
     edge of g can undercut or tie the added edge only if its pair in g
     already is at most the added edge's; the edges are sorted by pair once
-    and scanned up to that point.
+    and scanned up to that point, after the cover prefilter of the module
+    docstring has dropped what it can.
     """
     n = g.n
     adj = g.adj
@@ -178,10 +221,22 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
     c = len(masks)
     comp = [0] * n
     for mask in masks:
-        for v in bit_indices(mask):
-            comp[v] = mask
+        rest = mask
+        while rest:
+            low = rest & -rest
+            comp[low.bit_length() - 1] = mask
+            rest ^= low
     deg = [row.bit_count() for row in adj]
-    edges = sorted(((min(deg[u], deg[v]), max(deg[u], deg[v])), u, v) for u, v in g.edges())
+    edges = []
+    for u, row in enumerate(adj):
+        du = deg[u]
+        rest = row >> (u + 1) << (u + 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            edges.append(((du, deg[v]) if du <= deg[v] else (deg[v], du), u, v))
+    edges.sort()
 
     def pair_test(a, b):
         # None if an edge of the child undercuts the pair of (a, b), else
@@ -202,18 +257,44 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
                 sole = False
         return sole
 
+    # An edge of g with the least pair L keeps L in the child unless a or b is
+    # one of its ends, so a candidate whose pair is above L passes only if its
+    # ends touch all of them.  cover[v] has one bit per such edge at v, and the
+    # new vertex n touches none.  No vertex with an edge has a degree below
+    # L[0], so a non-edge between two such vertices has a pair above L.
+    cover = [0] * (n + 1)
+    full = 0
+    if edges:
+        least = edges[0][0]
+        for i, (old, u, v) in enumerate(edges):
+            if old != least:
+                break
+            cover[u] |= 1 << i
+            cover[v] |= 1 << i
+            full |= 1 << i
+
     passed = []
     for u in range(n):
-        for v in bit_indices(((1 << n) - (2 << u)) & ~adj[u]):
-            if (c if (comp[u] >> v) & 1 else c - 1) <= max_components:
+        left = full & ~cover[u]
+        rest = ((1 << n) - (2 << u)) & ~adj[u]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            k = c if comp[u] & low else c - 1
+            if k <= max_components:
+                if left & ~cover[v] and deg[u] and deg[v]:
+                    continue
                 sole = pair_test(u, v)
                 if sole is not None:
-                    passed.append((u, v, sole))
+                    passed.append((u, v, sole, k))
     if n + 1 <= max_order and c <= max_components:
         for u in range(n):
+            if full & ~cover[u] and (1, deg[u] + 1) > least:
+                continue
             sole = pair_test(u, n)
             if sole is not None:
-                passed.append((u, n, sole))
+                passed.append((u, n, sole, c))
     if len(passed) > 1:
         # automorphism_generators would label g itself.  Labelling it here
         # first puts that work under the `canon.label` span that
@@ -221,30 +302,34 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
         canonical_label(g)
         gens = automorphism_generators(g)
     claimed = set()
-    for i, (a, b, sole) in enumerate(passed):
+    for i, (a, b, sole, k) in enumerate(passed):
         if (a, b) not in claimed:
-            yield a, b, sole
+            yield a, b, sole, k
             if i + 1 < len(passed):
                 claimed |= _orbit(a, b, gens)
     # The fresh edge is an orbit of its own, and no edge undercuts its pair (1, 1).
     if n + 2 <= max_order and c + 1 <= max_components:
-        yield n, n + 1, pair_test(n, n + 1)
+        yield n, n + 1, pair_test(n, n + 1), c + 1
 
 
 def _children(g: Graph, m: int, prune_spec, max_order: int):
     # The accepted children of g in augmentation order, in a walk down to m
     # edges.  Each edge still to add merges at most two components.
-    for a, b, sole in _augmentations(g, m - g.m, max_order):
+    for a, b, sole, components in _augmentations(g, m - g.m, max_order):
         rows = list(g.adj) + [0] * (b + 1 - g.n)
         rows[a] |= 1 << b
         rows[b] |= 1 << a
         child = Graph._from_rows(rows)
         # An added edge alone with the least pair is the canonical edge.
-        # Otherwise the child is labelled, and kept iff an automorphism of
-        # the child takes its canonical edge to the added edge.
+        # Otherwise the root partition of a connected child may decide, and
+        # if it does not, the child is labelled and kept iff an automorphism
+        # of the child takes its canonical edge to the added edge.
         if not sole:
-            edge = canonical_edge(child)
-            if edge != (a, b) and edge not in _orbit(a, b, automorphism_generators(child)):
+            accept = _root_verdict(child, a, b) if components == 1 else None
+            if accept is None:
+                edge = canonical_edge(child)
+                accept = edge == (a, b) or edge in _orbit(a, b, automorphism_generators(child))
+            if not accept:
                 continue
         # g is theta-free (or it would have been pruned), and an added edge
         # with a new end lies on no cycle.
@@ -303,7 +388,7 @@ def _stream(m: int, connected_only: bool, prune_spec):
 
 
 def _check_edge_budget(m: int, budget: int):
-    if not isinstance(m, int) or m < 1:
+    if not _is_count(m) or m < 1:
         raise ValueError(f"edge count must be a positive integer, got {m!r}")
     if m > budget:
         raise BudgetError(
@@ -353,7 +438,7 @@ def enumerate_by_order(n: int):
     vertex pairs and takes 1 from c, so c + sum C(n_i, 2) is at most
     1 + C(n_1 + ... + n_c, 2) <= 1 + n(n - 1)/2.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")
     if n > ORDER_BUDGET:
         raise BudgetError(f"order {n} exceeds the enumeration budget {ORDER_BUDGET}")
@@ -368,9 +453,16 @@ def _lambda_square_bound(g: Graph) -> int:
     # The largest row sum of A^2, max_v sum_{u ~ v} d_u, which is at least
     # lambda^2: lambda^2 is the spectral radius of A^2, and that is at most
     # its largest row sum.
-    adj = g.adj
-    deg = [row.bit_count() for row in adj]
-    return max(sum(deg[u] for u in bit_indices(row)) for row in adj)
+    deg = [row.bit_count() for row in g.adj]
+    best = 0
+    for row in g.adj:
+        total = 0
+        while row:
+            low = row & -row
+            total += deg[low.bit_length() - 1]
+            row ^= low
+        best = max(best, total)
+    return best
 
 
 def _rank(a, b):

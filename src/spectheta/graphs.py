@@ -13,8 +13,13 @@ def bit_indices(mask: int):
         mask ^= low
 
 
+def _is_count(x) -> bool:
+    # An int that is not a bool: True and False are ints to isinstance.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_order(n) -> None:
-    if not isinstance(n, int) or not 0 <= n <= MAX_N:
+    if not _is_count(n) or not 0 <= n <= MAX_N:
         raise ValueError(f"vertex count must lie in 0..{MAX_N}, got {n!r}")
 
 
@@ -34,8 +39,11 @@ def _induced_rows(adj, order) -> list[int]:
     rows = []
     for v in order:
         row = 0
-        for w in bit_indices(adj[v] & keep):
-            row |= 1 << pos[w]
+        rest = adj[v] & keep
+        while rest:
+            low = rest & -rest
+            row |= 1 << pos[low.bit_length() - 1]
+            rest ^= low
         rows.append(row)
     return rows
 
@@ -107,10 +115,12 @@ class Graph:
 
     def edges(self):
         """Yield edges as (u, v) with u < v, lexicographically."""
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1)
-            for off in bit_indices(rest):
-                yield (u, u + 1 + off)
+        for u, row in enumerate(self.adj):
+            rest = row >> (u + 1) << (u + 1)
+            while rest:
+                low = rest & -rest
+                yield (u, low.bit_length() - 1)
+                rest ^= low
 
     def min_degree(self) -> int:
         if self.n == 0:
@@ -127,8 +137,10 @@ class Graph:
             frontier = seen
             while frontier:
                 nxt = 0
-                for v in bit_indices(frontier):
-                    nxt |= adj[v]
+                while frontier:
+                    low = frontier & -frontier
+                    nxt |= adj[low.bit_length() - 1]
+                    frontier ^= low
                 frontier = nxt & ~seen
                 seen |= frontier
             out.append(seen)
@@ -199,14 +211,14 @@ class Graph:
 
 def _check_family_order(name: str, n, least: int) -> None:
     # The order check of the builders that take n: their least n, then MAX_N.
-    if not isinstance(n, int) or n < least:
+    if not _is_count(n) or n < least:
         raise ValueError(f"{name} needs n >= {least}, got {n!r}")
     _check_order(n)
 
 
 def book(k: int) -> Graph:
     """Two adjacent hubs (vertices 0 and 1) joined to k independent pages."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_count(k) or k < 1:
         raise ValueError(f"book needs at least one page, got k={k!r}")
     _check_order(k + 2)
     edges = [(0, 1)]
@@ -240,7 +252,7 @@ def complete_minus_edge(n: int) -> Graph:
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
-    if not (isinstance(s, int) and isinstance(t, int) and s >= 1 and t >= 1):
+    if not (_is_count(s) and _is_count(t) and s >= 1 and t >= 1):
         raise ValueError(f"complete_bipartite needs s, t >= 1, got {s!r}, {t!r}")
     _check_order(s + t)
     return Graph(s + t, [(u, s + v) for u in range(s) for v in range(t)])

@@ -27,7 +27,7 @@ import math
 from .canon import canonical_order, twin_classes
 from .enumeration import DEFAULT_EDGE_BUDGET, _check_edge_budget, extremal_search
 from .graph6 import to_graph6
-from .graphs import Graph, bit_indices
+from .graphs import Graph, _is_count, bit_indices
 from .spectral import COMPARISON_TOL, SpectralResult, spectral_radius
 from .theta import ThetaSpec, contains_theta
 
@@ -36,7 +36,7 @@ _FREENESS_SPEC = ThetaSpec(2, 2, 3)
 
 def bound_value(m: int) -> float:
     """The closed-form spectral bound (1 + sqrt(4m - 3)) / 2 for m edges."""
-    if not isinstance(m, int) or m < 1:
+    if not _is_count(m) or m < 1:
         raise ValueError(f"edge count must be a positive integer, got {m!r}")
     return (1.0 + math.sqrt(4 * m - 3)) / 2.0
 

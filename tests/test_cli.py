@@ -74,6 +74,7 @@ def test_enumerate_stream(capsys):
 ENUMERATE_STDOUT_DIGESTS = {
     8: (497, "2774464426b92627d65aa9b990753a5c3a444362d45f3b3cead86c02ec050e9d"),
     10: (4613, "15f20b4b5272bb9e157cf032b55e26a6335a2324be3d2df106b04c1a1ad59ebb"),
+    11: (15216, "fecdd334e73b61678209a52f25b632f22c5a5f2a27b67655c2ef2a284fa6f197"),
 }
 
 

@@ -45,11 +45,12 @@ from spectheta import (
     star,
     to_graph6,
 )
-from spectheta import enumeration
+from spectheta import canon, enumeration
 from spectheta.enumeration import (
     _augmentations,
     _children,
     _lambda_square_bound,
+    _orbit,
     canonical_edge,
 )
 
@@ -182,9 +183,10 @@ def test_augmentations_keep_first_member_of_each_orbit():
                     claimed |= {_image(perm, edge) for perm in auts}
                     want.append((child, edge))
             got = list(_augmentations(g, MAX_N, MAX_N))
-            assert [(a, b) for a, b, _ in got] == [edge for _, edge in want]
+            assert [(a, b) for a, b, _, _ in got] == [edge for _, edge in want]
             counts = [child.component_count() for child, _ in want]
-            for (child, edge), (_, _, sole) in zip(want, got):
+            assert [components for _, _, _, components in got] == counts
+            for (child, edge), (_, _, sole, _) in zip(want, got):
                 pair = _degree_pair(child, edge)
                 assert sole == (sum(_degree_pair(child, e) == pair for e in child.edges()) == 1)
             for limit in range(1, g.component_count() + 2):
@@ -254,6 +256,48 @@ def test_least_pair_filter_drops_only_rejected_children():
             assert list(_children(g, MAX_N, None, MAX_N)) == want
 
 
+@pytest.mark.parametrize("m, max_order", [(9, MAX_N)] + [(n * (n - 1) // 2, n) for n in range(3, 8)])
+def test_tied_children_kept_iff_the_labelled_test_accepts(monkeypatch, m, max_order):
+    # Every tied child of the tree (its added edge shares the least degree
+    # pair with another edge), in the walk of enumerate_by_edges(m) or
+    # enumerate_by_order(max_order), is kept by `_children` iff its canonical
+    # edge lies in the orbit of the added edge.  The root partition may
+    # settle a connected child without that label, never a disconnected one.
+    labelled = set()
+
+    def recorded(g):
+        labelled.add(g)
+        return canonical_edge(g)
+
+    monkeypatch.setattr(enumeration, "canonical_edge", recorded)
+    nodes = [g for g in enumeration._subtree(complete(2), m, None, max_order) if g.m < m]
+    tied = 0
+    for g in nodes:
+        children = {edge: child for child, edge in all_augmentations(g)}
+        edges = [(a, b) for a, b, sole, *_ in _augmentations(g, m - g.m, max_order) if not sole]
+        labelled.clear()
+        yielded = set(_children(g, m, None, max_order))
+        for a, b in edges:
+            child = children[a, b]
+            edge = canonical_edge(child)
+            accepted = edge == (a, b) or edge in _orbit(a, b, automorphism_generators(child))
+            assert (child in yielded) == accepted, (g, a, b)
+            if not child.is_connected():
+                assert child in labelled, (g, a, b)
+            tied += 1
+    assert tied
+
+
+def test_search_m10_root_partition_cuts_component_searches():
+    # The root partition settles 1,075 of the 2,679 tied children, so the
+    # m=10 search runs at most 1,800 component searches (2,724 without it).
+    for cache in (canon._root_cells, canon._component_canonical, canon._canonical_pieces):
+        cache.cache_clear()
+    rec = extremal_search(10, ThetaSpec(2, 2, 3))
+    assert rec.num_candidates == 2100
+    assert canon._component_canonical.cache_info().misses <= 1800
+
+
 def test_no_duplicates_and_basic_shape():
     for m in range(1, 7):
         certs = []
@@ -289,6 +333,19 @@ def test_budget_guard():
     # explicit override admits the request
     gen = enumerate_by_edges(13, budget=13)
     next(gen)
+
+
+def test_bool_is_not_a_count():
+    # True is an int to isinstance; as a count it would stand for 1.
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            extremal_search(flag, ThetaSpec(2, 2, 3))
+        with pytest.raises(ValueError):
+            list(enumerate_by_edges(flag))
+        with pytest.raises(ValueError):
+            list(enumerate_by_order(flag))
+        with pytest.raises(ValueError):
+            bound_value(flag)
 
 
 def test_enumerate_by_order_counts():

@@ -37,6 +37,18 @@ def test_construction_rejects_bad_input():
         Graph(300)
 
 
+@pytest.mark.parametrize("build", [
+    Graph, book, star, star_plus_edge, complete, complete_minus_edge, path, cycle,
+    lambda k: complete_bipartite(k, 2), lambda k: complete_bipartite(2, k),
+])
+def test_bool_is_not_a_count(build):
+    # True is an int to isinstance; as an order or a page count it would
+    # build the graph for 1.
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            build(flag)
+
+
 def test_graph_is_immutable_value_type():
     g = path(3)
     with pytest.raises(AttributeError):

@@ -20,6 +20,7 @@ from helpers import (  # noqa: E402
 )
 
 from spectheta import (  # noqa: E402
+    MAX_N,
     Graph,
     ThetaSpec,
     automorphism_generators,
@@ -37,6 +38,7 @@ from spectheta import (  # noqa: E402
 )
 from spectheta.canon import _canonical_pieces, _component_canonical  # noqa: E402
 from spectheta.cli import main  # noqa: E402
+from spectheta.enumeration import _augmentations, _orbit  # noqa: E402
 from spectheta.graphs import FAMILIES  # noqa: E402
 from spectheta.spectral import triangle_free  # noqa: E402
 from spectheta.theta import _paths  # noqa: E402
@@ -244,6 +246,49 @@ def test_pendant_child_of_free_parent_is_free(g, data, spec):
     u = data.draw(st.integers(min_value=0, max_value=parent.n - 1))
     child = Graph(parent.n + 1, list(parent.edges()) + [(u, parent.n)])
     assert not oracle_contains_theta(child, spec)
+
+
+def _reference_augmentations(g, max_components, max_order):
+    # `_augmentations` with no prefilter: every candidate child is built and
+    # kept when it meets the limits and its added edge carries its least
+    # degree pair; then the first of each Aut(g)-orbit, then the fresh edge.
+    n = g.n
+    candidates = [(u, v) for u, v in combinations(range(n), 2) if not g.has_edge(u, v)]
+    if n + 1 <= max_order:
+        candidates += [(u, n) for u in range(n)]
+
+    def tested(a, b):
+        child = Graph(max(n, b + 1), list(g.edges()) + [(a, b)])
+        pairs = [tuple(sorted((child.degree(u), child.degree(v)))) for u, v in child.edges()]
+        pair = tuple(sorted((child.degree(a), child.degree(b))))
+        if pair == min(pairs):
+            return a, b, pairs.count(pair) == 1, child.component_count()
+        return None
+
+    passed = [t for t in (tested(a, b) for a, b in candidates)
+              if t is not None and t[3] <= max_components]
+    gens = automorphism_generators(g) if len(passed) > 1 else []
+    out = []
+    claimed = set()
+    for a, b, sole, components in passed:
+        if (a, b) not in claimed:
+            out.append((a, b, sole, components))
+            claimed |= _orbit(a, b, gens)
+    if n + 2 <= max_order and g.component_count() + 1 <= max_components:
+        out.append(tested(n, n + 1))
+    return out
+
+
+@settings(deadline=None)
+@given(random_graphs(max_n=14), st.integers(min_value=0, max_value=16),
+       st.integers(min_value=0, max_value=3) | st.just(MAX_N))
+@example(Graph(0), 1, MAX_N)
+@example(Graph(3), 4, 2)  # edgeless parent, as enumerate_by_order yields first
+@example(Graph(7, list(book(4).edges())), 3, 2)  # a book plus an isolated vertex
+def test_augmentations_match_unfiltered_reference(g, max_components, extra_order):
+    max_order = g.n + extra_order if extra_order < MAX_N else MAX_N
+    want = _reference_augmentations(g, max_components, max_order)
+    assert list(_augmentations(g, max_components, max_order)) == want
 
 
 @settings(deadline=None)
