@@ -13,6 +13,7 @@ ends the run quietly with exit code 2; whatever was not written is lost.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,6 +52,7 @@ def _range_arg(text: str) -> range:
         raise argparse.ArgumentTypeError(f"expected M or A..B, got {text!r}")
 
 
+@functools.cache  # one parser per process: `verify` items in a loop reuse it
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spectheta",

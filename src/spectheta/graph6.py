@@ -10,6 +10,8 @@ from __future__ import annotations
 from .graphs import MAX_N, Graph
 
 _OPTIONAL_PREFIX = ">>graph6<<"
+# str.translate table: each payload character to its six bits.
+_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def to_graph6(g: Graph) -> str:
@@ -42,19 +44,19 @@ def from_graph6(text: str) -> Graph:
         s = s[len(_OPTIONAL_PREFIX):]
     if not s:
         raise ValueError("empty graph6 string")
-    vals = [ord(c) - 63 for c in s]
-    if any(v < 0 or v > 63 for v in vals):
+    if min(s) < "?" or max(s) > "~":
         raise ValueError("graph6 characters must lie in '?'..'~'")
+    vals = [ord(c) - 63 for c in s[:4]]
     if vals[0] == 63:
         if len(vals) < 4:
             raise ValueError("truncated graph6 header")
         if vals[1] == 63:
             raise ValueError("graph6 order beyond the supported range")
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
-        body = vals[4:]
+        body = s[4:]
     else:
         n = vals[0]
-        body = vals[1:]
+        body = s[1:]
     if n > MAX_N:
         raise ValueError(f"graph6 order {n} exceeds the {MAX_N}-vertex budget")
     nbits = n * (n - 1) // 2
@@ -63,13 +65,20 @@ def from_graph6(text: str) -> Graph:
         raise ValueError(f"truncated graph6 payload: got {len(body)} bytes, need {need} for n={n}")
     if len(body) > need:
         raise ValueError(f"graph6 payload too long: got {len(body)} bytes, need {need} for n={n}")
+    # Spell the payload as a string of bits and visit its set bits alone; the
+    # bits past nbits are padding and are not read.  Column j holds the bits
+    # (0, j) .. (j - 1, j) and starts at bit start = j(j - 1)/2.
+    bits = body.translate(_BITS)
     rows = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            group, off = divmod(idx, 6)
-            if (body[group] >> (5 - off)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+    j = 1
+    start = 0
+    k = bits.find("1", 0, nbits)
+    while k >= 0:
+        while k >= start + j:
+            start += j
+            j += 1
+        i = k - start
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        k = bits.find("1", k + 1, nbits)
     return Graph._from_rows(rows)

@@ -14,10 +14,11 @@ the paths of lengths r, p and q in that order.
 
 `_paths` yields the paths of one length in lexicographic order.  A
 length-1 path is one bit test, and the length-2 paths are the bits of
-adj[a] & adj[b] & free.  A longer path is a depth-first search down to
-its second-to-last internal vertex w, which closes a path through each
-bit of adj[w] & adj[b] & free; the last two levels loop over bits and
-open no generator per candidate.
+adj[a] & adj[b] & free.  A length-3 path a-w-x-b is two nested
+lowest-bit loops, over the bits w of adj[a] & free and then over the
+bits x of adj[w] & adj[b] & free, so the (2,2,3) search opens no
+generator per candidate.  A longer path takes its first internal vertex
+and recurses for a path one edge shorter, down to those two loops.
 
 The first witness found is the lexicographically least (first, second,
 third) triple of the first hub pair that has one.  Swapping two paths of
@@ -29,12 +30,14 @@ each set of equal-length paths once: on a (2,2,3)-free book or K2,k, one
 hub pair with k common neighbours, the `_paths` calls fall from 1 + k**2
 to 1 + k + k(k-1)/2, and (2,2,2) tries up to 6x fewer triples.  On the
 benchmark's `certify` corpus, whose books and K2,t are (2,2,3)-free,
-this took a repetition from 1.38-1.48 s to 0.80-0.86 s on a 2-core
-x86-64 VM (seeds 1-3), with every witness unchanged.
+this took a repetition from 1.38-1.48 s to 0.80-0.86 s (seeds 1-3), and
+the flat length-2 and length-3 loops then took it from 0.77-0.90 s to
+0.54-0.57 s (seeds 1-10), on a 2-core x86-64 VM, with every witness
+unchanged.
 
 The length-2 paths between two hubs are interchangeable, so the search
 could count them instead of enumerating them.  That would take a
-`certify` repetition from about 0.8 s to well under 0.3 s, and the
+`certify` repetition from about 0.6 s to well under 0.3 s, and the
 benchmark's speed probe cannot yet take a sample inside repetitions that
 short (ROADMAP item 1).  Counting waits for that fix, and then changes
 `_theta_between` alone.
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph, bit_indices, vertex_mask
 
 ORACLE_MAX_VERTICES = 10
 
@@ -135,11 +138,12 @@ def validate_witness(g: Graph, spec: ThetaSpec, w: dict) -> bool:
     return True
 
 
-def _paths(g, a, b, length, banned_mask, after=-1):
+def _paths(g, a, b, length, banned_mask, after=-1, head=()):
     # All simple a-b paths of the exact edge length whose internal vertices
     # avoid banned_mask and whose first internal vertex is > after; yields
-    # internal-vertex tuples in lexicographic order.  The last two levels
-    # loop over bitmasks (see the module docstring).
+    # internal-vertex tuples in lexicographic order.  A path longer than 3
+    # recurses on its first internal vertex w with head + (w,), and the
+    # length-3 loops yield each tuple after head (see the module docstring).
     adj = g.adj
     if length == 1:
         if (adj[a] >> b) & 1:
@@ -149,30 +153,25 @@ def _paths(g, a, b, length, banned_mask, after=-1):
     ends = adj[b] & free  # candidates for the last internal vertex
     firsts = adj[a] & free & (-1 << (after + 1))  # candidates for the first
     if length == 2:
-        for x in bit_indices(firsts & ends):
-            yield (x,)
+        both = firsts & ends
+        while both:
+            low = both & -both
+            both ^= low
+            yield (low.bit_length() - 1,)
         return
-    stack = []
-
-    def extend(nexts, free):
-        # nexts: the candidates for the next internal vertex, within free.
-        if len(stack) < length - 3:
-            for w in bit_indices(nexts):
-                stack.append(w)
-                rest = free & ~(1 << w)
-                yield from extend(adj[w] & rest, rest)
-                stack.pop()
-            return
-        # w is the second-to-last internal vertex.  adj[w] has no bit w, so
-        # w cannot come back as its own successor.
-        for w in bit_indices(nexts):
-            last = adj[w] & ends & free
-            while last:
-                tail = last & -last
-                last ^= tail
-                yield (*stack, w, tail.bit_length() - 1)
-
-    yield from extend(firsts, free)
+    if length > 3:
+        for w in bit_indices(firsts):
+            yield from _paths(g, w, b, length - 1, banned_mask | (1 << a), -1, (*head, w))
+        return
+    while firsts:
+        low = firsts & -firsts
+        firsts ^= low
+        w = low.bit_length() - 1
+        last = adj[w] & ends  # adj[w] has no bit w
+        while last:
+            tail = last & -last
+            last ^= tail
+            yield (*head, w, tail.bit_length() - 1)
 
 
 def _theta_between(g, spec, a, b):
@@ -181,13 +180,9 @@ def _theta_between(g, spec, a, b):
     # vertex, and only that order is tried (see the module docstring).
     same_rp, same_pq = spec.r == spec.p, spec.p == spec.q
     for first in _paths(g, a, b, spec.r, 0):
-        m1 = 0
-        for v in first:
-            m1 |= 1 << v
+        m1 = vertex_mask(first)
         for second in _paths(g, a, b, spec.p, m1, first[0] if same_rp else -1):
-            m2 = m1
-            for v in second:
-                m2 |= 1 << v
+            m2 = m1 | vertex_mask(second)
             for third in _paths(g, a, b, spec.q, m2, second[0] if same_pq else -1):
                 return {"hubs": [a, b],
                         "paths": [[a, *first, b], [a, *second, b], [a, *third, b]]}

@@ -335,6 +335,44 @@ def test_closed_stdout_exits_2_without_traceback():
     assert b"Traceback" not in err
 
 
+_CALLS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from spectheta.cli import _build_parser, main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"parsers": _build_parser.cache_info().misses, "results": results}))
+"""
+
+
+def test_calls_in_one_process_match_separate_processes():
+    # The argument parser is built once per process and reused, as when a
+    # caller runs `main` once per `verify` item: a usage error must leave
+    # nothing behind for the calls after it.
+    src = os.path.dirname(os.path.dirname(spectheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [["verify", "--bogus"],
+             ["verify", to_graph6(book(3)), "--json"],
+             ["search", "--edges", "6", "--spec", "2,2,3"]]
+    proc = subprocess.run([sys.executable, "-c", _CALLS_IN_ONE_PROCESS, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    together = json.loads(proc.stdout)
+    assert together["parsers"] == 1
+    apart = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "spectheta.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=60)
+        apart.append([proc.returncode, proc.stdout, proc.stderr])
+    assert together["results"] == apart
+    assert [code for code, _, _ in apart] == [2, 0, 0]
+
+
 def test_nosal(capsys):
     code, out, _ = run_cli(capsys, ["nosal", to_graph6(complete_bipartite(2, 4))])
     assert code == 0

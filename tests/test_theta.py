@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -131,6 +132,69 @@ def test_paths_after_keeps_first_internal_vertices_past_it():
     assert list(paths(g, 0, 1, 4, 0, 4)) == [(5, 2, 3), (5, 2, 4), (5, 3, 2), (5, 3, 4),
                                              (5, 4, 2), (5, 4, 3)]
     assert list(paths(g, 0, 1, 2, 0, 5)) == []
+
+
+def test_223_kernel_opens_no_bit_indices_generator(monkeypatch):
+    # The (2,2,3) search on books and K2,t walks its length-2 and length-3
+    # paths in flat bit loops; a generator per candidate made it slow.
+    def refuse(mask):
+        raise AssertionError("bit_indices on a length-2 or length-3 path")
+
+    monkeypatch.setattr(theta, "bit_indices", refuse)
+    spec = ThetaSpec(2, 2, 3)
+    assert contains_theta(book(30), spec) is None
+    assert contains_theta(complete_bipartite(2, 30), spec) is None
+    assert contains_theta(book(30).with_edge(2, 3), spec) == {
+        "hubs": [0, 1], "paths": [[0, 4, 1], [0, 5, 1], [0, 2, 3, 1]]}
+    g = complete(6)
+    assert list(theta._paths(g, 0, 1, 2, 0)) == [(2,), (3,), (4,), (5,)]
+    assert list(theta._paths(g, 0, 1, 3, 1 << 4)) == list(permutations((2, 3, 5), 2))
+
+
+def _dfs_paths(g, a, b, length, banned, after):
+    # Reference: a plain depth-first search over neighbour lists and a set of
+    # used vertices, in ascending neighbour order.
+    out = []
+    mid = []
+
+    def walk(v):
+        if len(mid) == length - 1:
+            if g.has_edge(v, b):
+                out.append(tuple(mid))
+            return
+        for w in g.neighbors(v):
+            if (w in (a, b) or (banned >> w) & 1 or w in mid
+                    or (not mid and w <= after)):
+                continue
+            mid.append(w)
+            walk(w)
+            mid.pop()
+
+    walk(a)
+    return out
+
+
+def test_paths_match_dfs_reference_on_multiword_hosts():
+    # Hosts of 70..130 vertices, so every mask spans several machine words;
+    # the Hypothesis test of _paths stops at 8 vertices.
+    rng = random.Random(30)
+    found = high = 0
+    for _ in range(12):
+        n = rng.randint(70, 130)
+        hubs = rng.sample(range(n), 6)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < (0.3 if u in hubs or v in hubs else 0.04)}
+        g = Graph(n, sorted(edges))
+        for _ in range(6):
+            a, b = rng.sample(hubs, 2)
+            banned = sum(1 << v for v in range(n) if rng.random() < 0.2)
+            after = rng.choice((-1, -1, rng.randrange(n)))
+            for length in (3, 4, 5):
+                got = list(theta._paths(g, a, b, length, banned, after))
+                assert got == _dfs_paths(g, a, b, length, banned, after), (n, a, b, length)
+                found += len(got)
+                high += sum(max(mid) >= 64 for mid in got)
+    assert found > 2_000 and high > 1_000, (found, high)
 
 
 def test_witnesses_are_deterministic():
