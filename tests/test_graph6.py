@@ -104,6 +104,27 @@ def test_decoder_matches_per_bit_reference_with_padding_bits_set():
     assert padded >= 20
 
 
+def _per_bit_text(g):
+    # Reference encoder: append the upper triangle one bit at a time, column
+    # by column, and pad the last group of six with zeros.
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    bits = "".join("1" if g.has_edge(i, j) else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
+
+
+def test_encoder_matches_per_bit_reference():
+    # Orders 0..23 end the triangle at every offset in a 24-bit group that
+    # n(n - 1)/2 can reach; 61..65, 255 and 256 cross into the long header.
+    rng = random.Random(31)
+    orders = list(range(0, 24)) + [61, 62, 63, 64, 65, 255, 256]
+    for n in orders:
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            assert to_graph6(g) == _per_bit_text(g), (n, p)
+
+
 def test_order_budget():
     too_big = "~" + chr(63 + ((300 >> 12) & 63)) + chr(63 + ((300 >> 6) & 63)) + chr(63 + (300 & 63))
     with pytest.raises(ValueError, match="budget"):
