@@ -38,7 +38,6 @@ from .spectral import (
 from .theta import (
     ThetaSpec,
     contains_theta,
-    oracle_contains_theta,
     theta_graph,
     validate_witness,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "from_graph6",
     "inequality_one_check",
     "is_book",
-    "oracle_contains_theta",
     "path",
     "spectral_radius",
     "star",

@@ -95,7 +95,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def _check_vertex(self, v):
-        if not (isinstance(v, int) and 0 <= v < self.n):
+        if not (_is_count(v) and 0 <= v < self.n):
             raise ValueError(f"vertex {v!r} out of range for n={self.n}")
 
     # -- queries ---------------------------------------------------------
@@ -121,11 +121,6 @@ class Graph:
                 low = rest & -rest
                 yield (u, low.bit_length() - 1)
                 rest ^= low
-
-    def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(r.bit_count() for r in self.adj)
 
     def _component_masks(self) -> list[int]:
         # One vertex bitmask per connected component, by smallest member.
@@ -164,21 +159,6 @@ class Graph:
         for v in vs:
             self._check_vertex(v)
         return Graph._from_rows(_induced_rows(self.adj, vs))
-
-    def edge_count_between(self, xs, ys) -> int:
-        """Number of edges with one endpoint in xs and the other in ys.
-
-        With xs == ys this is the edge count inside the set, each edge
-        counted once.
-        """
-        xm = vertex_mask(xs)
-        ym = vertex_mask(ys)
-        for v in bit_indices(xm | ym):
-            self._check_vertex(v)
-        total = sum((self.adj[u] & ym).bit_count() for u in bit_indices(xm))
-        both = xm & ym
-        inner = sum((self.adj[u] & both).bit_count() for u in bit_indices(both)) // 2
-        return total - inner
 
     # -- derived copies --------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Theta-subgraph detection with explicit witnesses, plus a brute-force oracle.
+"""Theta-subgraph detection with explicit witnesses.
 
 A theta graph with parameters (r, p, q) joins two hub vertices by three
 internally disjoint paths of edge lengths r, p and q.  Detection uses
@@ -47,9 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices, vertex_mask
-
-ORACLE_MAX_VERTICES = 10
+from .graphs import Graph, _is_count, bit_indices, vertex_mask
 
 
 @dataclass(frozen=True, order=True)
@@ -125,7 +123,7 @@ def validate_witness(g: Graph, spec: ThetaSpec, w: dict) -> bool:
         return False
     a, b = hubs
     named = [a, b, *(v for seq in paths for v in seq)]
-    if a == b or not all(isinstance(v, int) and 0 <= v < g.n for v in named):
+    if a == b or not all(_is_count(v) and 0 <= v < g.n for v in named):
         return False
     used = {a, b}
     for seq, length in zip(paths, (spec.r, spec.p, spec.q)):
@@ -211,34 +209,3 @@ def contains_theta(g: Graph, spec: ThetaSpec) -> dict | None:
                     raise RuntimeError(f"internal error: invalid witness {w} for {spec}")
                 return w
     return None
-
-
-def oracle_contains_theta(g: Graph, spec: ThetaSpec) -> bool:
-    """Decide containment by trying every injection of the theta vertices.
-
-    Deliberately independent of the path-search detector; guarded to small
-    hosts because the search is factorial.
-    """
-    if g.n > ORACLE_MAX_VERTICES:
-        raise ValueError(f"oracle limited to hosts with n <= {ORACLE_MAX_VERTICES}, got n={g.n}")
-    pattern = theta_graph(spec)
-    if pattern.n > g.n or pattern.m > g.m:
-        return False
-    pat_adj = pattern.adj
-    assign = [-1] * pattern.n
-
-    def place(i, used):
-        if i == pattern.n:
-            return True
-        earlier = pat_adj[i] & ((1 << i) - 1)
-        for v in range(g.n):
-            if (used >> v) & 1:
-                continue
-            row = g.adj[v]
-            if all((row >> assign[j]) & 1 for j in bit_indices(earlier)):
-                assign[i] = v
-                if place(i + 1, used | (1 << v)):
-                    return True
-        return False
-
-    return place(0, 0)

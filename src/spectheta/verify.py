@@ -3,9 +3,9 @@ with m edges, lambda <= (1 + sqrt(4m - 3)) / 2, with equality only for the
 book.  Here are its bound, the vertex u* that its lemmas are stated at, the
 structure around u* (the ledger over U = N(u*) and W, the vertices outside
 its closed ball, the components of U, the lemma checklist, inequality (1)
-and the eigenvector identities), the certificate of one graph with its
-verdict, and the table of searched maxima against the bound.  Only this
-module builds U and W, in `_ball`.
+in its integer form and the eigenvector identities), the certificate of
+one graph with its verdict, and the table of searched maxima against the
+bound.  Only this module builds U and W, in `_ball`.
 
 The results are plain values, as the certificate prints them: the
 decomposition is the certificate's `{"ustar", "ledger", "components"}`, a
@@ -247,41 +247,36 @@ def _lemma_checklist(g: Graph, report: dict) -> list[dict]:
             for entry_id, text, witness in entries]
 
 
-def inequality_one_check(g: Graph, report: dict, res: SpectralResult) -> dict:
-    """Evaluate the weighted edge-budget inequality around the extremal vertex.
+def inequality_one_check(report: dict, lam: float) -> dict:
+    """Inequality (1) around u* in its integer form, e(U+) - |U+| >= e(W) - 1.
 
     Applicable when lambda^2 - lambda >= m - 1, that is when lambda is at
-    or above the bound; the true maximizer satisfies lhs >= rhs there.
-    Both sides are reported for any input.  The inequality is an identity
-    in disguise: with x scaled so that x_u* = 1, lhs = lambda^2 - |U| -
-    sum_U+ x_u by the two eigenvector identities, and rhs = m - |U| - 1 +
-    sum_U0 x_u by the ledger, so slack = lhs - rhs = lambda^2 - lambda -
-    (m - 1) for any connected graph and any u*, up to rounding.  An
-    applicable slack is never negative beyond rounding.
+    or above the bound.  `lhs` is e(U+) - |U+| and `rhs` is e(W) - 1, both
+    read from the ledger and the component sizes of the report, and
+    `holds` is lhs >= rhs; all four are reported for any input.
+
+    Applicable implies holds for every connected graph.  On the unit
+    Perron vector every x_u <= x_u* + tol, since u* has a largest entry,
+    and x_u* >= 1/sqrt(n); scale x so that x_u* = 1, and every x_u <= 1 +
+    tol sqrt(n).  By the two eigenvector identities, lambda^2 - lambda =
+    |U| + sum_U (d_U(u) - 1) x_u + sum_W d_U(w) x_w.  On U+, d_U >= 1, and
+    the U0 terms are at most 0, so lambda^2 - lambda <= |U| + 2e(U+) -
+    |U+| + e(U, W) up to 2m tol sqrt(n).  The ledger gives m - 1 = |U| +
+    e(U+) + e(U, W) + e(W) - 1, so an applicable lambda gives e(U+) - |U+|
+    >= e(W) - 1 up to the same tolerance.  Both sides are integers, and
+    the tolerance stays below 1 up to MAX_N, so the gap of 1 absorbs it.
+    A certificate that is applicable and does not hold therefore means
+    that lambda or the ledger is wrong.  Books meet the inequality with
+    equality, -1 = -1.
     """
-    lam = res.lam
-    x = res.perron
-    xs = float(x[report["ustar"]])
-    umask, wmask = _ball(g, report["ustar"])
-    lhs = 0.0
-    u0 = []
-    for u in bit_indices(umask):
-        du = (g.adj[u] & umask).bit_count()
-        if du:
-            lhs += (du - 1) * float(x[u]) / xs
-        else:
-            u0.append(u)
-    for w in bit_indices(wmask):
-        dw = (g.adj[w] & umask).bit_count()
-        lhs += dw * float(x[w]) / xs
     ledger = report["ledger"]
-    rhs = (ledger["eUplus"] + ledger["eUW"] + ledger["eW"]
-           + sum(float(x[u]) / xs for u in u0) - 1.0)
+    lhs = ledger["eUplus"] - sum(len(c["vertices"]) for c in report["components"])
+    rhs = ledger["eW"] - 1
     return {
-        "applicable": lam * lam - lam >= g.m - 1 - COMPARISON_TOL,
+        "applicable": lam * lam - lam >= ledger["m"] - 1 - COMPARISON_TOL,
         "lhs": lhs,
         "rhs": rhs,
-        "slack": lhs - rhs,
+        "holds": lhs >= rhs,
     }
 
 
@@ -312,7 +307,7 @@ def verify_theorem_instance(g: Graph) -> dict:
     if connected:
         cert |= report
         cert["lemmas"] = _lemma_checklist(g, report)
-        cert["inequality1"] = inequality_one_check(g, report, res)
+        cert["inequality1"] = inequality_one_check(report, lam)
     else:
         cert |= dict.fromkeys(("ustar", "ledger", "components", "lemmas", "inequality1"))
     claimed = lam is not None and bound is not None and abs(lam - bound) <= COMPARISON_TOL

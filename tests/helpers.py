@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from spectheta import Graph, book, complete
+from spectheta import Graph, ThetaSpec, book, complete, theta_graph
+from spectheta.graphs import bit_indices, vertex_mask
 
 
 def relabeled(g: Graph, perm) -> Graph:
@@ -153,3 +154,59 @@ def delete_with_cleanup(g: Graph, u: int, v: int) -> Graph:
     if len(keep) == h.n:
         return h
     return h.induced(keep)
+
+
+ORACLE_MAX_VERTICES = 10
+
+
+def oracle_contains_theta(g: Graph, spec: ThetaSpec) -> bool:
+    """Decide containment by trying every injection of the theta vertices.
+
+    Deliberately independent of the path-search detector; guarded to small
+    hosts because the search is factorial.
+    """
+    if g.n > ORACLE_MAX_VERTICES:
+        raise ValueError(f"oracle limited to hosts with n <= {ORACLE_MAX_VERTICES}, got n={g.n}")
+    pattern = theta_graph(spec)
+    if pattern.n > g.n or pattern.m > g.m:
+        return False
+    pat_adj = pattern.adj
+    assign = [-1] * pattern.n
+
+    def place(i, used):
+        if i == pattern.n:
+            return True
+        earlier = pat_adj[i] & ((1 << i) - 1)
+        for v in range(g.n):
+            if (used >> v) & 1:
+                continue
+            row = g.adj[v]
+            if all((row >> assign[j]) & 1 for j in bit_indices(earlier)):
+                assign[i] = v
+                if place(i + 1, used | (1 << v)):
+                    return True
+        return False
+
+    return place(0, 0)
+
+
+def min_degree(g: Graph) -> int:
+    if g.n == 0:
+        return 0
+    return min(r.bit_count() for r in g.adj)
+
+
+def edge_count_between(g: Graph, xs, ys) -> int:
+    """Number of edges of g with one endpoint in xs and the other in ys.
+
+    With xs == ys this is the edge count inside the set, each edge
+    counted once.
+    """
+    xm = vertex_mask(xs)
+    ym = vertex_mask(ys)
+    for v in bit_indices(xm | ym):
+        g._check_vertex(v)
+    total = sum((g.adj[u] & ym).bit_count() for u in bit_indices(xm))
+    both = xm & ym
+    inner = sum((g.adj[u] & both).bit_count() for u in bit_indices(both)) // 2
+    return total - inner

@@ -11,7 +11,12 @@ import math
 import time
 from pathlib import Path
 
-from helpers import brute_force_class_key, labeled_graphs_with_edges, random_connected_graph
+from helpers import (
+    brute_force_class_key,
+    labeled_graphs_with_edges,
+    oracle_contains_theta,
+    random_connected_graph,
+)
 
 from spectheta import (
     ThetaSpec,
@@ -27,7 +32,6 @@ from spectheta import (
     enumerate_by_order,
     extremal_search,
     from_graph6,
-    oracle_contains_theta,
     spectral_radius,
     to_graph6,
     validate_witness,

@@ -424,5 +424,5 @@ def test_verify_output_pinned(capsys):
     assert json_codes == human_codes == [0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0]
     json_digest = hashlib.sha256("\n".join(json_text).encode()).hexdigest()
     human_digest = hashlib.sha256("".join(human_text).encode()).hexdigest()
-    assert json_digest == "1125a094703be20d57668f9df7e63aec65699562975dda88e1b788f672753798"
+    assert json_digest == "f424d63aeb9f603d3eaf439b434a33d3e649dad8c6ebf519c9c02f7f42bda5cc"
     assert human_digest == "8a6cb0c09902834c7360f8b8c882b832df6f1df15408b613dc06922467e91192"

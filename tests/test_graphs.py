@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import graphs_on
+from helpers import edge_count_between, graphs_on, min_degree
 
 from spectheta import (
     Graph,
@@ -77,7 +77,7 @@ def test_book_family():
     assert book(1) == complete(3)
     g = book(3)
     assert sorted(g.degree(v) for v in range(g.n)) == [2, 2, 2, 4, 4]
-    assert g.edge_count_between([0, 1], [2, 3, 4]) == 6
+    assert edge_count_between(g, [0, 1], [2, 3, 4]) == 6
     with pytest.raises(ValueError):
         book(0)
 
@@ -143,18 +143,24 @@ def test_induced():
     assert h.degree(0) == 3  # hub 1 relabels to 0
     with pytest.raises(ValueError):
         g.induced([0, 9])
+    # True and False are ints to isinstance, not vertex ids
+    for v in (9, True, False):
+        with pytest.raises(ValueError):
+            g.degree(v)
+        with pytest.raises(ValueError):
+            g.has_edge(2, v)
 
 
 def test_edge_count_between():
     g = cycle(6)
-    assert g.edge_count_between([0, 1, 2], [0, 1, 2]) == 2
-    assert g.edge_count_between([0, 1, 2], [3, 4, 5]) == 2
-    assert g.edge_count_between(range(6), range(6)) == 6
+    assert edge_count_between(g, [0, 1, 2], [0, 1, 2]) == 2
+    assert edge_count_between(g, [0, 1, 2], [3, 4, 5]) == 2
+    assert edge_count_between(g, range(6), range(6)) == 6
     # overlapping sets count each qualifying edge once
-    assert g.edge_count_between([0, 1], [1, 2]) == 2
+    assert edge_count_between(g, [0, 1], [1, 2]) == 2
 
 
 def test_min_degree():
-    assert book(2).min_degree() == 2
-    assert path(4).min_degree() == 1
-    assert Graph(3).min_degree() == 0
+    assert min_degree(book(2)) == 2
+    assert min_degree(path(4)) == 1
+    assert min_degree(Graph(3)) == 0

@@ -12,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from helpers import (  # noqa: E402
+    oracle_contains_theta,
     oracle_has_long_cycle,
     oracle_is_book,
     oracle_triangle_free,
@@ -32,7 +33,6 @@ from spectheta import (  # noqa: E402
     complete,
     from_graph6,
     is_book,
-    oracle_contains_theta,
     to_graph6,
     validate_witness,
 )

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     all_augmentations,
+    oracle_contains_theta,
     random_connected_graph,
     random_permutation,
     relabeled,
@@ -22,7 +23,6 @@ from spectheta import (
     contains_theta,
     cycle,
     enumerate_by_order,
-    oracle_contains_theta,
     path,
     star,
     theta_graph,
@@ -113,6 +113,8 @@ def test_validate_witness_rejects_broken_witnesses():
         {"hubs": [0, 9], "paths": [[0, 4, 9], [0, 5, 9], [0, 2, 3, 9]]},  # 9 is past the host
         {"hubs": [0, -1], "paths": [[0, 4, -1], [0, 5, -1], [0, 2, 3, -1]]},  # a negative id
         {"hubs": [0, 1.0], "paths": [[0, 4, 1.0], [0, 5, 1.0], [0, 2, 3, 1.0]]},  # not an int
+        {"hubs": [0, True], "paths": [[0, 4, True], [0, 5, True], [0, 2, 3, True]]},  # a bool
+        {"hubs": [False, 1], "paths": [[False, 4, 1], [False, 5, 1], [False, 2, 3, 1]]},  # a bool
         {"hubs": [0, 1, 2], "paths": [p0, p1, p2]},  # three hubs
         {"hubs": [0, 1], "paths": [p0, p1, 7]},  # a path given as an int
         {"hubs": [0, 1]},  # no paths

@@ -5,17 +5,20 @@ import random
 import pytest
 
 from helpers import (
+    edge_count_between,
     oracle_has_long_cycle,
     oracle_is_book,
     random_connected_graph,
     random_permutation,
     relabeled,
+    to_networkx,
 )
 
 from spectheta import (
     Graph,
     ThetaSpec,
     book,
+    bound_value,
     certificate_holds,
     check_lemma_conclusions,
     complete,
@@ -79,16 +82,16 @@ def test_decompose_partition_and_ledger_random():
         U0 = [u for u in U if not set(g.neighbors(u)) & set(U)]
         Uplus = [u for u in U if u not in U0]
         assert ledger["sizeU"] + ledger["eUplus"] + ledger["eUW"] + ledger["eW"] == g.m
-        assert ledger == {"sizeU": len(U), "eUplus": g.edge_count_between(Uplus, Uplus),
-                          "eUW": g.edge_count_between(U, W),
-                          "eW": g.edge_count_between(W, W), "m": g.m}
+        assert ledger == {"sizeU": len(U), "eUplus": edge_count_between(g, Uplus, Uplus),
+                          "eUW": edge_count_between(g, U, W),
+                          "eW": edge_count_between(g, W, W), "m": g.m}
         # components partition U+, each connected inside U with no edge to another
         comps = [c["vertices"] for c in rep["components"]]
         assert sorted(v for c in comps for v in c) == Uplus
         for c in comps:
             assert g.induced(c).is_connected()
             others = [v for d in comps if d is not c for v in d]
-            assert g.edge_count_between(c, others) == 0
+            assert edge_count_between(g, c, others) == 0
 
 
 def test_decompose_rejects_disconnected():
@@ -164,72 +167,65 @@ def test_checklist_reports_failures_with_witnesses():
 
 
 def test_inequality_book28_threshold():
+    # Books meet the integer form with equality: U+ is the pages plus the
+    # other hub, and W is empty.
     g, res, rep = _prepared(book(28))
-    out = inequality_one_check(g, rep, res)
-    assert out["applicable"]
-    assert out["slack"] >= -1e-8
-    assert out["lhs"] == pytest.approx(27.0, abs=1e-7)
-    assert out["rhs"] == pytest.approx(27.0, abs=1e-7)
+    out = inequality_one_check(rep, res.lam)
+    assert out == {"applicable": True, "lhs": -1, "rhs": -1, "holds": True}
 
 
 def test_inequality_book3():
     g, res, rep = _prepared(book(3))
-    out = inequality_one_check(g, rep, res)
-    assert out["applicable"]  # lambda^2 - lambda = 6 = m - 1
-    assert out["slack"] >= -1e-8
+    out = inequality_one_check(rep, res.lam)  # lambda^2 - lambda = 6 = m - 1
+    assert out == {"applicable": True, "lhs": -1, "rhs": -1, "holds": True}
 
 
 def test_inequality_not_applicable_on_p4():
     g, res, rep = _prepared(path(4))
-    out = inequality_one_check(g, rep, res)
+    out = inequality_one_check(rep, res.lam)
     assert not out["applicable"]
 
 
-def test_inequality_consistent_with_raw_recomputation():
-    rng = random.Random(33)
-    for _ in range(40):
-        g = random_connected_graph(rng, max_n=12)
-        res = spectral_radius(g)
-        rep = decompose(g, res)
-        out = inequality_one_check(g, rep, res)
-        x = res.perron
-        ustar = rep["ustar"]
-        xs = float(x[ustar])
-        U = g.neighbors(ustar)
-        W = [v for v in range(g.n) if v != ustar and v not in U]
-        U0 = [u for u in U if not set(g.neighbors(u)) & set(U)]
-        Uplus = [u for u in U if u not in U0]
-        lhs = 0.0
-        for u in Uplus:
-            du = sum(1 for w in g.neighbors(u) if w in U)
-            lhs += (du - 1) * float(x[u]) / xs
-        for w in W:
-            dw = sum(1 for z in g.neighbors(w) if z in U)
-            lhs += dw * float(x[w]) / xs
-        e_uplus = sum(1 for a, b in g.edges() if a in Uplus and b in Uplus)
-        e_uw = sum(1 for a, b in g.edges() if (a in U) != (b in U) and ustar not in (a, b))
-        e_w = sum(1 for a, b in g.edges() if a in W and b in W)
-        rhs = e_uplus + e_uw + e_w + sum(float(x[u]) / xs for u in U0) - 1.0
-        assert out["lhs"] == pytest.approx(lhs, abs=1e-10)
-        assert out["rhs"] == pytest.approx(rhs, abs=1e-10)
-
-
-def test_inequality_one_slack_is_lambda_identity():
-    # By the two eigenvector identities and the ledger, slack = lambda^2 -
-    # lambda - (m - 1) for any connected graph and any u*, so inequality (1)
-    # is applicable exactly when lambda reaches the bound, and an applicable
-    # slack is never negative beyond rounding.  Over the 1,017 connected
-    # (2,2,3)-free classes with 1..9 edges.
-    spec = ThetaSpec(2, 2, 3)
-    graphs = [g for m in range(1, 10) for g in enumerate_by_edges(m, True, free=spec)]
+def test_inequality_one_matches_networkx_oracle():
+    # lhs = e(U+) - |U+| and rhs = e(W) - 1, recomputed from the certificate's
+    # u* with networkx alone, over the 1,017 connected (2,2,3)-free classes
+    # with 1..9 edges.
+    pytest.importorskip("networkx")
+    graphs = _free_connected_classes()
     assert len(graphs) == 1017
     for g in graphs:
         cert = verify_theorem_instance(g)
-        lam, ineq = cert["lambda"], cert["inequality1"]
-        assert abs(ineq["slack"] - (lam * lam - lam - (g.m - 1))) <= 1e-12, to_graph6(g)
-        assert ineq["applicable"] == (lam >= cert["bound"] - 1e-9), to_graph6(g)
+        h = to_networkx(g)
+        U = set(h[cert["ustar"]])
+        W = set(h) - U - {cert["ustar"]}
+        Uplus = {u for u in U if set(h[u]) & U}
+        lhs = h.subgraph(Uplus).number_of_edges() - len(Uplus)
+        rhs = h.subgraph(W).number_of_edges() - 1
+        ineq = cert["inequality1"]
+        assert (ineq["lhs"], ineq["rhs"], ineq["holds"]) == (lhs, rhs, lhs >= rhs), to_graph6(g)
+
+
+def test_inequality_one_holds_when_applicable():
+    # An applicable certificate holds for every connected graph (see
+    # inequality_one_check), so a miss would mean lambda or the ledger is
+    # wrong.  Over the same classes and book(28).
+    graphs = _free_connected_classes() + [book(28)]
+    applicable = 0
+    for g in graphs:
+        ineq = verify_theorem_instance(g)["inequality1"]
         if ineq["applicable"]:
-            assert ineq["slack"] >= -1e-9, to_graph6(g)
+            applicable += 1
+            assert ineq["holds"], to_graph6(g)
+    assert applicable == 13  # 12 classes, book(28) the 13th
+
+
+def test_inequality_one_can_fail():
+    # A lambda above the bound on a path is applicable, and the ledger
+    # cannot meet it: U+ is empty (lhs 0) and W spans three edges (rhs 2).
+    g = path(8)
+    lam = bound_value(g.m) + 0.5  # above the bound, where no path's lambda is
+    out = inequality_one_check(decompose(g, spectral_radius(g)), lam)
+    assert out["applicable"] and not out["holds"]
 
 
 def test_is_book():
@@ -353,5 +349,5 @@ def test_certificates_are_pinned():
         digest.update(json.dumps(cert).encode())
         shapes.update(c["class"].split("(")[0] for c in cert["components"] or ())
     assert len(graphs) == 2265
-    assert digest.hexdigest() == "e363799ca5f5f97921b811580bb0a79cdee3c1b86abf447206426f6d37fb086c"
+    assert digest.hexdigest() == "59b2eb7f89c9b6f91b808ffbdda72de0e0da3aa29fd259c73070b845267a0fa0"
     assert {"Star", "StarPlusEdge", "Path", "Cycle", "K4-e", "K4"} <= shapes
